@@ -144,8 +144,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError("matmul", a.data.shape, b.data.shape)
+    need_a, need_b = a.requires_grad, b.requires_grad
     return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+                 lambda g: (g @ b.data.T if need_a else None,
+                            a.data.T @ g if need_b else None))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -235,10 +237,13 @@ def amax(x: Tensor, axis: int) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     """Gather conv patches into (B, C*kh*kw, oh*ow) columns."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    if padding:  # by slice assignment: np.pad triples im2col's time on 4-sample chunks
+        B, C, H, W = x.shape
+        padded = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        padded[:, :, padding:padding + H, padding:padding + W] = x
+        x = padded
     B, C, H, W = x.shape
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
@@ -280,59 +285,63 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         if b.data.shape != (cout,):
             raise ShapeError("conv2d bias", b.data.shape, (cout,))
 
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
     w2d = w.data.reshape(cout, cin * kh * kw)
-    out = np.einsum("of,bfp->bop", w2d, cols).reshape(B, cout, oh, ow)
+    out = np.matmul(w2d, cols).reshape(B, cout, oh, ow)
     if b is not None:
-        out = out + b.data[None, :, None, None]
+        out += b.data[None, :, None, None]
 
     x_shape = x.data.shape
     w_shape = w.data.shape
+    need_x, need_w = x.requires_grad, w.requires_grad
+    need_b = b is not None and b.requires_grad
+    cols = cols if need_w else None  # the graph keeps the columns only for dw
 
     def vjp(g):
         g2d = g.reshape(B, cout, oh * ow)
-        dw = np.einsum("bop,bfp->of", g2d, cols).reshape(w_shape)
-        dcols = np.einsum("of,bop->bfp", w2d, g2d)
-        dx = _col2im(dcols, x_shape, kh, kw, stride, padding)
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        dx = dw = db = None
+        if need_x:
+            dx = _col2im(np.matmul(w2d.T, g2d), x_shape, kh, kw, stride, padding)
+        if need_w:
+            # one GEMM of the (cout, B*P) gradient with the (B*P, F) columns
+            dw = np.tensordot(g2d, cols, axes=((0, 2), (0, 2))).reshape(w_shape)
+        if need_b:
+            db = g.sum(axis=(0, 2, 3))
+        return dx, dw, db
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, vjp)
 
 
-def maxpool2d(x: Tensor, size: int, stride: int | None = None) -> Tensor:
-    """Max pooling; ties route gradient to the first maximal element of the
-    window in row-major order."""
+def maxpool2d(x: Tensor, size: int) -> Tensor:
+    """Max pooling over non-overlapping ``size`` x ``size`` windows.
+
+    Rows and columns past the last whole window are dropped and get zero
+    gradient. A reshape lays each window out along the last axis in
+    row-major order, so ties route gradient to the window's first maximal
+    element in that order. Only the argmax indices are kept for the
+    backward pass.
+    """
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError("maxpool2d", x.data.shape)
-    stride = size if stride is None else stride
     B, C, H, W = x.data.shape
     if H < size or W < size:
         raise ShapeError("maxpool2d", x.data.shape, (size, size))
-    oh = (H - size) // stride + 1
-    ow = (W - size) // stride + 1
-    win = np.empty((B, C, size * size, oh, ow), dtype=np.float64)
-    k = 0
-    for i in range(size):
-        for j in range(size):
-            win[:, :, k] = x.data[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-            k += 1
-    idx = np.argmax(win, axis=2)
-    out = np.take_along_axis(win, idx[:, :, None], axis=2).squeeze(2)
-    x_shape = x.data.shape
+    oh, ow = H // size, W // size
+    hc, wc = oh * size, ow * size
+    win = (x.data[:, :, :hc, :wc].reshape(B, C, oh, size, ow, size)
+           .transpose(0, 1, 2, 4, 3, 5).reshape(B, C, oh, ow, size * size))
+    idx = np.argmax(win, axis=4)[..., None]
+    out = np.take_along_axis(win, idx, axis=4)[..., 0]
 
     def vjp(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[:, :, None], g[:, :, None], axis=2)
-        dx = np.zeros(x_shape, dtype=np.float64)
-        k = 0
-        for i in range(size):
-            for j in range(size):
-                dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dwin[:, :, k]
-                k += 1
+        dwin = np.zeros((B, C, oh, ow, size * size), dtype=np.float64)
+        np.put_along_axis(dwin, idx, g[..., None], axis=4)
+        dx = (dwin.reshape(B, C, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5)
+              .reshape(B, C, hc, wc))
+        if (hc, wc) != (H, W):
+            dx = np.pad(dx, ((0, 0), (0, 0), (0, H - hc), (0, W - wc)))
         return (dx,)
 
     return _node(out, (x,), vjp)

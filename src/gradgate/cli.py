@@ -107,12 +107,17 @@ def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
         raise PipelineError(f"{kind}: non-finite adversarial pixels")
 
 
+def confounding_label(cfg: ExperimentConfig, num_classes: int) -> gradfeat.ConfoundingLabel:
+    """The confounding label every command of a run scores with."""
+    return gradfeat.make_confounding_label(num_classes, cfg.confounding_kind,
+                                           k=cfg.confounding_k,
+                                           seed=child_seed(cfg.master_seed, "label"))
+
+
 def ensure_features(cfg: ExperimentConfig, model, sets: dict, mode: str, out: Path) -> dict:
     """Extract (or reload) one feature CSV per anomaly source for a mode."""
     digest = cfg.digest()
-    label = gradfeat.make_confounding_label(model.num_classes, cfg.confounding_kind,
-                                            k=cfg.confounding_k,
-                                            seed=child_seed(cfg.master_seed, "label"))
+    label = confounding_label(cfg, model.num_classes)
     features = {}
     for tag, ds in sets.items():
         path = out / f"features-{mode}-{tag}-{digest}.csv"
@@ -300,8 +305,7 @@ def cmd_compare_norms(args) -> int:
     datasets = [data.load_dataset(p) for p in args.datasets.split(",")]
     if any(len(ds) == 0 for ds in datasets):
         raise PipelineError("compare-norms requires nonempty datasets")
-    label = gradfeat.make_confounding_label(model.num_classes, cfg.confounding_kind,
-                                            k=cfg.confounding_k)
+    label = confounding_label(cfg, model.num_classes)
     lines = []
     for mode in ("gradient", "activation"):
         per_set = []

@@ -7,6 +7,12 @@ confounding label, backpropagating, and recording the squared L2 norm of
 the gradient for every parameter set in ordinal order. Inputs the model
 represents poorly need larger parameter updates, so their gradient norms
 sit in visibly different ranges than training-like inputs.
+
+The per-sample gradient norms of a whole chunk of samples come from one
+batched backward pass: samples do not interact in the forward pass, so
+the gradient at each layer's pre-activation, for a loss summed over the
+chunk, holds every sample's own gradient, and each parameter set's
+per-sample gradient is a product of it with the layer's input.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from . import storage
 from .autodiff import Tensor, as_tensor, backward, bce_with_logits
 
 UNLABELED = -1
+# Samples per batched backward pass. Larger chunks run faster (on one core,
+# about 3,100 samples/s at 4 and 4,000 at 8) but hold a larger graph, about
+# 0.2 MB per sample; at 4 scoring peaks at the memory of one sample at a time.
+CHUNK_SIZE = 4
 
 
 class FeatureError(RuntimeError):
@@ -134,23 +144,49 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
                               source_tag: str = "") -> FeatureSet:
     """Per-parameter-set squared gradient norms of the confounding loss.
 
-    Each sample gets its own single-sample graph; parameters are read-only
-    throughout, so extraction may be distributed over samples freely.
+    Samples are scored ``CHUNK_SIZE`` at a time. Each chunk runs one
+    forward pass with the parameters held constant and one backward pass
+    of the loss summed over the chunk (the mean BCE scaled by the chunk
+    length). With g_i the gradient at a layer's pre-activation for sample
+    i and a_i the layer's input, the features of sample i are:
+
+    - conv weight: ||g_i cols_i^T||_F^2, cols_i the im2col columns of a_i
+    - conv bias: ||sum_p g_i[:, p]||^2, summed over output positions p
+    - dense weight: ||a_i||^2 * ||g_i||^2
+    - dense bias: ||g_i||^2
     """
     n = len(images)
     names = model.param_names()
     values = np.empty((n, len(names)))
-    for i in range(n):
-        logits, _ = model.forward(images[i:i + 1])
-        loss = bce_confounding_loss(logits, label)
-        grads = backward(loss)
-        for p, ps in enumerate(model.params):
-            g = grads[ps.tensor]
-            values[i, p] = float(np.dot(g.reshape(-1), g.reshape(-1)))
-        if not np.all(np.isfinite(values[i])):
-            raise FeatureError(f"non-finite gradient feature for sample {i} ({source_tag})")
+    for start in range(0, n, CHUNK_SIZE):
+        stop = start + CHUNK_SIZE
+        values[start:stop] = _chunk_features(model, images[start:stop], label)
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if len(bad):
+        raise FeatureError(f"non-finite gradient feature for sample {bad[0]} ({source_tag})")
     return FeatureSet(values, np.arange(n), np.full(n, UNLABELED, dtype=np.int64),
                       [source_tag] * n, names, label.descriptor)
+
+
+def _chunk_features(model, chunk: np.ndarray, label: ConfoundingLabel) -> np.ndarray:
+    """Features of one chunk; its graph is freed on return, before the next
+    chunk builds its own."""
+    taps = []
+    logits, _ = model.forward(chunk, taps=taps)
+    grads = backward(bce_confounding_loss(logits, label) * float(len(chunk)))
+    norms = [sq for tap in taps for sq in _per_sample_sq_norms(tap, grads[tap.pre])]
+    return np.stack(norms, axis=1)
+
+
+def _per_sample_sq_norms(tap, g: np.ndarray):
+    """Squared norms of each sample's weight and bias gradients for one layer."""
+    if tap.inputs.ndim == 3:  # conv: g (B, cout, P), columns (B, F, P)
+        g = g.reshape(len(g), g.shape[1], -1)
+        dw = np.matmul(g, tap.inputs.transpose(0, 2, 1))
+        db = g.sum(axis=2)
+        return (dw * dw).sum(axis=(1, 2)), (db * db).sum(axis=1)
+    g2 = (g * g).sum(axis=1)
+    return (tap.inputs * tap.inputs).sum(axis=1) * g2, g2
 
 
 def extract_activation_features(model, images: np.ndarray, source_tag: str = "",

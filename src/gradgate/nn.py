@@ -18,6 +18,7 @@ from .autodiff import (
     as_tensor,
     backward,
     conv2d,
+    im2col,
     matmul,
     maxpool2d,
     relu,
@@ -187,6 +188,14 @@ class TrainConfig:
             raise ValueError("momentum in [0,1), weight_decay >= 0")
 
 
+@dataclass(frozen=True)
+class LayerTap:
+    """What one layer's per-example parameter gradients are built from."""
+
+    inputs: np.ndarray  # conv: im2col columns (B, F, P); dense: activations (B, F)
+    pre: Tensor         # the pre-activation node, which requires a gradient
+
+
 class Classifier:
     """Layer sequence + parameter store + frozen input normalization."""
 
@@ -214,11 +223,18 @@ class Classifier:
         self.norm_mean = mean
         self.norm_std = np.maximum(std, 1e-8)
 
-    def forward(self, x):
+    def forward(self, x, taps: list | None = None):
         """Map raw pixels in [0,1] to (logits, post-activation layer outputs).
 
         Normalization happens inside the graph, so gradients with respect to
         the raw pixels include the normalization Jacobian.
+
+        When ``taps`` is a list, one :class:`LayerTap` per layer is appended
+        to it, the parameters enter the graph as constants, and every
+        pre-activation node requires a gradient. A backward pass then yields
+        the gradient at each pre-activation, from which per-example
+        parameter gradients follow, without forming any summed parameter
+        gradient.
         """
         t = as_tensor(x)
         if t.data.ndim != 4 or t.data.shape[1:] != self.arch.input_shape:
@@ -233,15 +249,25 @@ class Classifier:
         it = iter(self.params)
         flattened = False
         for layer in self.arch.layers:
-            w_ps, b_ps = next(it), next(it)
+            weight, bias = next(it).tensor, next(it).tensor
+            if taps is not None:
+                weight, bias = Tensor(weight.data), Tensor(bias.data)
             if isinstance(layer, ConvLayer):
-                pre = conv2d(t, w_ps.tensor, b_ps.tensor,
-                             stride=layer.stride, padding=layer.padding)
+                pre = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding)
             else:
                 if not flattened:
                     t = reshape(t, (batch, t.data.size // batch))
                     flattened = True
-                pre = matmul(t, w_ps.tensor) + b_ps.tensor
+                pre = matmul(t, weight) + bias
+            if taps is not None:
+                if isinstance(layer, ConvLayer):
+                    inputs = im2col(t.data, layer.kernel, layer.kernel,
+                                    layer.stride, layer.padding)[0]
+                else:
+                    inputs = t.data
+                if not pre.requires_grad:  # nothing upstream needs a gradient
+                    pre = Tensor(pre.data, requires_grad=True)
+                taps.append(LayerTap(inputs, pre))
             act = relu(pre) if layer.activation == "relu" else pre
             activations.append(act)
             t = act

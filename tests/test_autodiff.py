@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,26 @@ def conv2d_reference(x, w, b=None, stride=1, padding=0):
                                 acc += x[n, c, i * stride + di, j * stride + dj] * w[o, c, di, dj]
                     out[n, o, i, j] = acc + (b[o] if b is not None else 0.0)
     return out
+
+
+def maxpool_reference(x, size, g):
+    """Window-loop oracle for non-overlapping max pooling: the pooled values
+    and the input gradient for output gradient g. One window slot at a time
+    is gathered, so argmax over slots breaks ties in row-major order."""
+    B, C, H, W = x.shape
+    oh, ow = H // size, W // size
+    win = np.empty((B, C, size * size, oh, ow))
+    slots = [(i, j) for i in range(size) for j in range(size)]
+    for k, (i, j) in enumerate(slots):
+        win[:, :, k] = x[:, :, i:i + size * oh:size, j:j + size * ow:size]
+    idx = np.argmax(win, axis=2)
+    out = np.take_along_axis(win, idx[:, :, None], axis=2).squeeze(2)
+    dwin = np.zeros_like(win)
+    np.put_along_axis(dwin, idx[:, :, None], g[:, :, None], axis=2)
+    dx = np.zeros(x.shape)
+    for k, (i, j) in enumerate(slots):
+        dx[:, :, i:i + size * oh:size, j:j + size * ow:size] += dwin[:, :, k]
+    return out, dx
 
 
 def central_diff(f, arr, index, h=1e-5):
@@ -230,6 +252,60 @@ class TestGradientChecks:
         x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         build = lambda: tsum(ad.amax(x, axis=1) * ad.amax(x, axis=1)) + tsum(tsum(x, axis=0) * tsum(x, axis=0))
         grad_matches_fd(build, [x], rng)
+
+
+REQUIRES_GRAD = [flags for flags in itertools.product((False, True), repeat=3) if any(flags)]
+
+
+class TestGradientSkipping:
+    """VJPs compute gradients only for parents that require them; every
+    requires_grad combination is gradchecked."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(13)
+
+    def leaves(self, shapes, flags):
+        return [Tensor(self.rng.standard_normal(shape) * 0.5, requires_grad=flag)
+                for shape, flag in zip(shapes, flags)]
+
+    @pytest.mark.parametrize("flags", REQUIRES_GRAD)
+    def test_conv2d(self, flags):
+        x, w, b = self.leaves([(2, 2, 5, 5), (3, 2, 3, 3), (3,)], flags)
+        out = conv2d(x, w, b, stride=2, padding=1)
+        computed = out._vjp(np.ones(out.shape))
+        assert [g is not None for g in computed] == list(flags)
+        grad_matches_fd(lambda: tmean(tanh(conv2d(x, w, b, stride=2, padding=1))),
+                        [t for t in (x, w, b) if t.requires_grad], self.rng)
+
+    @pytest.mark.parametrize("flags", REQUIRES_GRAD)
+    def test_dense(self, flags):
+        x, w, b = self.leaves([(4, 5), (5, 3), (3,)], flags)
+        if x.requires_grad or w.requires_grad:
+            out = matmul(x, w)
+            computed = out._vjp(np.ones(out.shape))
+            assert [g is not None for g in computed] == list(flags[:2])
+        t = self.rng.integers(0, 3, size=4)
+        grad_matches_fd(lambda: softmax_cross_entropy(matmul(x, w) + b, t),
+                        [p for p in (x, w, b) if p.requires_grad], self.rng)
+
+
+class TestMaxpoolReshape:
+    """maxpool2d's reshape must agree bit for bit with the window-loop
+    oracle, on inputs the windows tile and on ragged ones they crop."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("extra", [(0, 0), (1, 0), (0, 2), (1, 1)])
+    def test_matches_window_loop_bitwise(self, size, extra):
+        rng = np.random.default_rng(size)
+        shape = (2, 3, 3 * size + extra[0], 2 * size + extra[1])
+        arr = rng.integers(0, 3, size=shape).astype(float)  # many ties
+        g = rng.standard_normal((2, 3, shape[2] // size, shape[3] // size))
+        x = Tensor(arr, requires_grad=True)
+        out = maxpool2d(x, size)
+        dx = backward(tsum(out * Tensor(g)))[x]
+        out_ref, dx_ref = maxpool_reference(arr, size, g)
+        assert out.data.tobytes() == out_ref.tobytes()
+        assert dx.tobytes() == dx_ref.tobytes()
 
 
 class TestInvariants:

@@ -4,7 +4,8 @@ import pytest
 from gradgate import cli
 from gradgate.attacks import AttackConfig, AttackResult
 from gradgate.config import ExperimentConfig, child_seed
-from gradgate.data import load_dataset
+from gradgate import gradfeat
+from gradgate.data import gen_glyphs, load_dataset, save_dataset
 from gradgate.gradfeat import load_features_csv, save_features_csv
 from gradgate.nn import load_checkpoint
 
@@ -252,3 +253,29 @@ class TestCompareNorms:
         ckpt = out / f"classifier-{cfg.digest()}.ggate"
         assert cli.main(["compare-norms", "--config", str(path), "--checkpoint",
                          str(ckpt), "--datasets", str(out / "missing.gdata")]) == 1
+
+    def test_k_hot_uses_the_pipeline_label(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        path.write_text(path.read_text() + "\n[features]\nconfounding_kind = k-hot\n"
+                        "confounding_k = 3\n")
+        cli.main(["train-classifier", "--config", str(path)])
+        cfg = ExperimentConfig.from_file(path)
+        ckpt = out / f"classifier-{cfg.digest()}.ggate"
+        ds = gen_glyphs(4, seed=1)
+        ds.source_tag = "probe"
+        save_dataset(ds, out / "probe.gdata")
+
+        labels = []
+        extract = gradfeat.extract_gradient_features
+
+        def spy(model, images, label, source_tag=""):
+            labels.append(label)
+            return extract(model, images, label, source_tag)
+
+        monkeypatch.setattr(gradfeat, "extract_gradient_features", spy)
+        assert cli.main(["compare-norms", "--config", str(path), "--checkpoint",
+                         str(ckpt), "--datasets", str(out / "probe.gdata")]) == 0
+        cli.ensure_features(cfg, load_checkpoint(ckpt), {"probe": ds}, "gradient", out)
+        compare, pipeline = labels
+        assert compare.descriptor == pipeline.descriptor
+        assert np.array_equal(compare.vector, pipeline.vector)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gradgate.autodiff import Tensor
-from gradgate.data import gen_glyphs
+from gradgate.attacks import fgsm
+from gradgate.autodiff import Tensor, backward
+from gradgate.data import gen_glyphs, gen_ood
 from gradgate.gradfeat import (
+    CHUNK_SIZE,
     ConfoundingLabel,
     FeatureError,
     FeatureSet,
@@ -26,6 +28,32 @@ def cnn():
     model = build_classifier(small_cnn(), seed=0)
     model.set_normalization(gen_glyphs(50, seed=0).images)
     return model
+
+
+def per_sample_oracle(model, images, label):
+    """One single-sample graph and backward pass per sample, reading the
+    summed parameter gradients directly."""
+    rows = []
+    for i in range(len(images)):
+        logits, _ = model.forward(images[i:i + 1])
+        grads = backward(bce_confounding_loss(logits, label))
+        rows.append([float(np.dot(grads[ps.tensor].reshape(-1), grads[ps.tensor].reshape(-1)))
+                     for ps in model.params])
+    return np.array(rows)
+
+
+@pytest.fixture(scope="module")
+def stream_sources(cnn):
+    """Clean glyphs, fgsm glyphs, and two OOD kinds: 2 chunks + 3 of each."""
+    n = 2 * CHUNK_SIZE + 3
+    glyphs = gen_glyphs(2 * n, seed=21)
+    adv = fgsm(cnn, glyphs.images[n:], glyphs.labels[n:], 0.1).images
+    return {
+        "clean": glyphs.images[:n],
+        "fgsm": adv,
+        "uniform-noise": gen_ood("uniform-noise", n, seed=22).images,
+        "textures": gen_ood("textures", n, seed=23).images,
+    }
 
 
 def quartiles_oracle(col):
@@ -151,6 +179,59 @@ class TestGradientFeatures:
         save_checkpoint(cnn, path)
         after = extract_gradient_features(load_checkpoint(path), images, label)
         assert before.values.tobytes() == after.values.tobytes()
+
+
+class TestBatchedGradientFeatures:
+    """The chunked per-sample norms against the one-graph-per-sample oracle."""
+
+    @pytest.mark.parametrize("source", ["clean", "fgsm", "uniform-noise", "textures"])
+    def test_matches_per_sample_oracle(self, cnn, stream_sources, source):
+        images = stream_sources[source]
+        label = make_confounding_label(10)
+        fs = extract_gradient_features(cnn, images, label, source)
+        np.testing.assert_allclose(fs.values, per_sample_oracle(cnn, images, label),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 37])
+    def test_batch_sizes(self, cnn, n):
+        images = gen_glyphs(n, seed=24).images
+        label = make_confounding_label(10, "k-hot", k=3, seed=2)
+        fs = extract_gradient_features(cnn, images, label)
+        assert fs.values.shape == (n, 8)
+        np.testing.assert_allclose(fs.values, per_sample_oracle(cnn, images, label),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_mlp_matches_per_sample_oracle(self):
+        model = build_classifier(mlp(num_classes=4, input_shape=(1, 4, 4), hidden=5), seed=3)
+        images = np.random.default_rng(4).uniform(size=(CHUNK_SIZE + 2, 1, 4, 4))
+        label = make_confounding_label(4)
+        fs = extract_gradient_features(model, images, label)
+        np.testing.assert_allclose(fs.values, per_sample_oracle(model, images, label),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_parameters_get_no_summed_gradient(self, cnn, monkeypatch):
+        import gradgate.gradfeat as gf
+
+        seen = []
+
+        def spy(root):
+            grads = backward(root)
+            seen.append(grads)
+            return grads
+
+        monkeypatch.setattr(gf, "backward", spy)
+        extract_gradient_features(cnn, gen_glyphs(CHUNK_SIZE + 1, seed=25).images,
+                                  make_confounding_label(10))
+        assert len(seen) == 2  # one backward pass per chunk
+        for grads in seen:
+            assert not any(ps.tensor in grads for ps in cnn.params)
+
+    def test_non_finite_feature_names_first_bad_sample(self, cnn):
+        images = gen_glyphs(CHUNK_SIZE + 6, seed=26).images
+        images[CHUNK_SIZE + 2, 0, 3, 3] = np.nan
+        images[CHUNK_SIZE + 4, 0, 5, 5] = np.inf
+        with pytest.raises(FeatureError, match=f"sample {CHUNK_SIZE + 2} "):
+            extract_gradient_features(cnn, images, make_confounding_label(10), "bad")
 
 
 class TestActivationFeatures:
