@@ -151,9 +151,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0): +0.0 for every non-positive input, -0.0 included; NaN
+    stays NaN."""
     x = as_tensor(x)
-    mask = x.data > 0.0
-    return _node(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    mask = x.data > 0.0 if x.requires_grad else None
+    return _node(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -317,10 +319,12 @@ def maxpool2d(x: Tensor, size: int) -> Tensor:
     """Max pooling over non-overlapping ``size`` x ``size`` windows.
 
     Rows and columns past the last whole window are dropped and get zero
-    gradient. A reshape lays each window out along the last axis in
-    row-major order, so ties route gradient to the window's first maximal
-    element in that order. Only the argmax indices are kept for the
-    backward pass.
+    gradient. The forward pass folds the ``size**2`` strided window slots
+    into a running maximum in row-major order. When the input needs a
+    gradient it also keeps, for each slot after the first, the bool mask of
+    where that slot beat the running maximum; the backward pass scans the
+    masks in reverse, so the gradient goes to the window's first maximal
+    element in row-major order and every other element gets +0.0.
     """
     x = as_tensor(x)
     if x.data.ndim != 4:
@@ -328,20 +332,30 @@ def maxpool2d(x: Tensor, size: int) -> Tensor:
     B, C, H, W = x.data.shape
     if H < size or W < size:
         raise ShapeError("maxpool2d", x.data.shape, (size, size))
-    oh, ow = H // size, W // size
-    hc, wc = oh * size, ow * size
-    win = (x.data[:, :, :hc, :wc].reshape(B, C, oh, size, ow, size)
-           .transpose(0, 1, 2, 4, 3, 5).reshape(B, C, oh, ow, size * size))
-    idx = np.argmax(win, axis=4)[..., None]
-    out = np.take_along_axis(win, idx, axis=4)[..., 0]
+    hc, wc = H // size * size, W // size * size
+    slots = [(Ellipsis, slice(i, hc, size), slice(j, wc, size))
+             for i in range(size) for j in range(size)]
+    out = x.data[slots[0]].copy()
+    masks = []
+    for slot in slots[1:]:
+        view = x.data[slot]
+        if x.requires_grad:
+            masks.append(view > out)
+        np.maximum(view, out, out=out)  # ties keep the earlier slot's value
 
     def vjp(g):
-        dwin = np.zeros((B, C, oh, ow, size * size), dtype=np.float64)
-        np.put_along_axis(dwin, idx, g[..., None], axis=4)
-        dx = (dwin.reshape(B, C, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5)
-              .reshape(B, C, hc, wc))
-        if (hc, wc) != (H, W):
-            dx = np.pad(dx, ((0, 0), (0, 0), (0, H - hc), (0, W - wc)))
+        dx = np.empty(x.data.shape)  # the slots fill all of it but the cropped edges
+        dx[:, :, hc:] = 0.0
+        dx[:, :, :, wc:] = 0.0
+        # g where routed and +0.0 elsewhere, exactly for every value: g's bit
+        # patterns times the 0/1 route, as integers (np.where is slower)
+        bits = g.view(np.int64)
+        free = np.ones(g.shape, dtype=bool)  # windows whose maximum is not yet placed
+        for slot, mask in zip(slots[:0:-1], masks[::-1]):
+            route = mask & free
+            free ^= route
+            np.multiply(bits, route, out=dx[slot].view(np.int64))
+        np.multiply(bits, free, out=dx[slots[0]].view(np.int64))
         return (dx,)
 
     return _node(out, (x,), vjp)

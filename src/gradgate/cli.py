@@ -30,7 +30,7 @@ def make_splits(cfg: ExperimentConfig):
         ds = data.gen_glyphs(cfg.dataset_count, seed=child_seed(cfg.master_seed, "data"))
     else:
         ds = data.load_idx(cfg.idx_images, cfg.idx_labels)
-        if cfg.dataset_count and cfg.dataset_count < len(ds):
+        if cfg.dataset_count < len(ds):
             ds = ds.subset(np.arange(cfg.dataset_count))
     test_fraction = 1.0 - cfg.train_fraction - cfg.val_fraction
     return data.split(ds, (cfg.train_fraction, cfg.val_fraction, test_fraction),
@@ -80,9 +80,10 @@ def ensure_anomalies(cfg: ExperimentConfig, model, out: Path) -> dict:
     if cfg.attack_count and cfg.attack_count < len(test):
         test = test.subset(np.arange(cfg.attack_count))
     sets = {"clean-test": data.Dataset(test.images, test.labels, "clean-test", test.seed)}
+    frozen = model.frozen()
     for kind in cfg.attack_kinds:
         acfg = cfg.attack_config(kind)
-        result = attacks.run_attack(model, test.images, test.labels, acfg)
+        result = attacks.run_attack(frozen, test.images, test.labels, acfg)
         _gate_attack(kind, result, acfg)
         tag = f"adv-{kind}"
         sets[tag] = data.Dataset(result.images, test.labels, tag, acfg.seed)

@@ -101,6 +101,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown OOD kind {kind!r}")
         if self.feature_mode not in ("gradient", "activation"):
             raise ValueError(f"unknown feature mode {self.feature_mode!r}")
+        for key, low in _MINIMUMS.items():
+            value = getattr(self, key)
+            if not value >= low:  # NaN fails too
+                raise ValueError(f"{key} must be >= {low}, got {value}")
         self.arch_spec()  # raises on a malformed arch string
         return self
 
@@ -169,6 +173,19 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:12]
+
+
+# Lowest valid value of each numeric key that can be out of range.
+_MINIMUMS = {
+    "dataset_count": 1,
+    "ood_count": 1,          # gen_ood needs at least one sample
+    "attack_count": 0,       # 0 = whole test split
+    "epsilon": 0.0,
+    "cw_iterations": 1,
+    "hidden": 1,
+    "detector_epochs": 1,
+    "detector_patience": 1,
+}
 
 
 def _coerce(default, raw: str):

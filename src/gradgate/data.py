@@ -251,4 +251,6 @@ def load_dataset(path) -> Dataset:
     labels = named["labels"].astype(np.int64)
     if images.ndim != 4 or len(labels) != len(images):
         raise storage.RecordError("dataset image/label shapes inconsistent")
+    if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise storage.RecordError("dataset pixels must be finite and in [0, 1]")
     return Dataset(images, labels, metadata.get("source_tag", ""), int(metadata.get("seed", 0)))

@@ -208,16 +208,20 @@ class DetectorMLP:
     def _params(self):
         return (self.w1, self.b1, self.w2, self.b2)
 
-    def logit(self, std_values: np.ndarray) -> Tensor:
-        h = relu(matmul(Tensor(std_values), self.w1) + self.b1)
-        return matmul(h, self.w2) + self.b2
+    def logit(self, std_values: np.ndarray, frozen: bool = False) -> Tensor:
+        """Detector logits; with ``frozen`` the parameters enter as constants,
+        so no graph is kept."""
+        params = self._params()
+        w1, b1, w2, b2 = (Tensor(p.data) for p in params) if frozen else params
+        h = relu(matmul(Tensor(std_values), w1) + b1)
+        return matmul(h, w2) + b2
 
     def score(self, values: np.ndarray) -> np.ndarray:
         """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
         the endpoints only when a logit exceeds float64 resolution."""
         if values.shape[1] != self.input_dim:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
-        return stable_sigmoid(self.logit(self.standardize(values)).data[:, 0])
+        return stable_sigmoid(self.logit(self.standardize(values), frozen=True).data[:, 0])
 
     def snapshot(self) -> list:
         return [p.data.copy() for p in self._params()]

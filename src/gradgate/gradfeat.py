@@ -158,9 +158,10 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
     n = len(images)
     names = model.param_names()
     values = np.empty((n, len(names)))
+    frozen = model.frozen()
     for start in range(0, n, CHUNK_SIZE):
         stop = start + CHUNK_SIZE
-        values[start:stop] = _chunk_features(model, images[start:stop], label)
+        values[start:stop] = _chunk_features(frozen, images[start:stop], label)
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if len(bad):
         raise FeatureError(f"non-finite gradient feature for sample {bad[0]} ({source_tag})")
@@ -193,9 +194,10 @@ def extract_activation_features(model, images: np.ndarray, source_tag: str = "",
                                 batch_size: int = 256) -> FeatureSet:
     """Per-layer L2 norms of the post-nonlinearity outputs (forward only)."""
     n = len(images)
+    frozen = model.frozen()
     chunks = []
     for start in range(0, n, batch_size):
-        _, acts = model.forward(images[start:start + batch_size])
+        _, acts = frozen.forward(images[start:start + batch_size])
         per_layer = [np.sqrt((a.data.reshape(len(a.data), -1) ** 2).sum(axis=1)) for a in acts]
         chunks.append(np.stack(per_layer, axis=1))
     values = np.concatenate(chunks)

@@ -230,11 +230,10 @@ class Classifier:
         the raw pixels include the normalization Jacobian.
 
         When ``taps`` is a list, one :class:`LayerTap` per layer is appended
-        to it, the parameters enter the graph as constants, and every
-        pre-activation node requires a gradient. A backward pass then yields
-        the gradient at each pre-activation, from which per-example
-        parameter gradients follow, without forming any summed parameter
-        gradient.
+        to it and every pre-activation node requires a gradient. A backward
+        pass then yields the gradient at each pre-activation, from which
+        per-example parameter gradients follow. Call it on :meth:`frozen`,
+        so that no summed parameter gradient is formed on the way.
         """
         t = as_tensor(x)
         if t.data.ndim != 4 or t.data.shape[1:] != self.arch.input_shape:
@@ -250,8 +249,6 @@ class Classifier:
         flattened = False
         for layer in self.arch.layers:
             weight, bias = next(it).tensor, next(it).tensor
-            if taps is not None:
-                weight, bias = Tensor(weight.data), Tensor(bias.data)
             if isinstance(layer, ConvLayer):
                 pre = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding)
             else:
@@ -275,8 +272,16 @@ class Classifier:
                 t = maxpool2d(t, layer.pool)
         return t, activations
 
+    def frozen(self) -> "Classifier":
+        """This classifier with each parameter a constant over the same
+        ndarray (no copy), so graphs built through it carry no parameter
+        gradient."""
+        params = [ParamSet(ps.name, Tensor(ps.tensor.data), ps.ordinal) for ps in self.params]
+        return Classifier(self.arch, params, self.norm_mean, self.norm_std,
+                          self.seed, self.val_accuracy)
+
     def logits(self, x) -> np.ndarray:
-        return self.forward(x)[0].data
+        return self.frozen().forward(x)[0].data
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)

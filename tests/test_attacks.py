@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradgate.attacks import (
+    ATTACK_KINDS,
     AttackConfig,
     bim,
     cw_l2,
@@ -222,3 +223,15 @@ class TestConfigAndDispatch:
         cfg = AttackConfig(kind="fgsm", epsilon=0.05)
         assert run_attack(tiny_model, x, y, cfg).images.tobytes() == \
             fgsm(tiny_model, x, y, 0.05).images.tobytes()
+
+
+class TestFrozenModel:
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_frozen_model_gives_byte_identical_results(self, tiny_model, batch, kind):
+        x, y = batch
+        cfg = AttackConfig(kind=kind, epsilon=0.05, alpha=0.02, iterations=3,
+                           cw_iterations=6, seed=9)
+        live = run_attack(tiny_model, x, y, cfg)
+        frozen = run_attack(tiny_model.frozen(), x, y, cfg)
+        for field in ("images", "success", "linf", "l2"):
+            assert getattr(frozen, field).tobytes() == getattr(live, field).tobytes(), field

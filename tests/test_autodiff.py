@@ -372,3 +372,75 @@ class TestShapeErrors:
     def test_cross_entropy_bad_labels(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+
+
+class TestReluBytes:
+    """relu gives the bytes of the np.where oracle on every non-NaN input,
+    -0.0 and +-inf included, at lengths that run numpy's scalar loops and
+    its SIMD loops with their remainders."""
+
+    def test_matches_where_oracle_bytewise(self):
+        rng = np.random.default_rng(30)
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf])
+        for n in range(1, 131):
+            x = rng.standard_normal(n)
+            pick = rng.integers(0, 8, size=n)
+            x[pick < 4] = specials[pick[pick < 4]]
+            for arr in (x, np.full(n, -0.0), x[::2], x[1:]):
+                if arr.size == 0:
+                    continue
+                oracle = np.where(arr > 0, arr, 0.0)
+                assert relu(Tensor(arr)).data.tobytes() == oracle.tobytes(), n
+
+    def test_gradient_is_the_positive_mask(self):
+        arr = np.array([-2.0, -0.0, 0.0, 1e-300, 3.0, np.inf, -np.inf])
+        x = Tensor(arr, requires_grad=True)
+        g = np.arange(1.0, 8.0)
+        dx = backward(tsum(relu(x) * Tensor(g)))[x]
+        assert dx.tobytes() == (g * (arr > 0)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_nan_input_stays_nan(self, n):
+        x = np.linspace(-1.0, 1.0, n)
+        x[n // 2] = np.nan
+        out = relu(Tensor(x)).data
+        assert np.isnan(out[n // 2])
+        assert np.isfinite(np.delete(out, n // 2)).all()
+
+
+class TestMaxpoolMasks:
+    """The running-maximum maxpool2d against the window-loop oracle, bit for
+    bit, on the inputs the pipeline gives it: relu outputs, where most
+    windows tie at zero."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("extra", [(0, 0), (1, 2)])
+    def test_relu_zero_ties_match_window_loop_bitwise(self, size, extra):
+        rng = np.random.default_rng(40 + size)
+        shape = (3, 2, 3 * size + extra[0], 2 * size + extra[1])
+        pre = Tensor(rng.standard_normal(shape) - 1.5, requires_grad=True)
+        act = relu(pre)
+        out = maxpool2d(act, size)
+        g = rng.standard_normal(out.shape)
+        dact = backward(tsum(out * Tensor(g)))[act]
+        out_ref, dact_ref = maxpool_reference(act.data, size, g)
+        assert (out_ref == 0.0).mean() > 0.3  # many all-zero windows
+        assert out.data.tobytes() == out_ref.tobytes()
+        assert dact.tobytes() == dact_ref.tobytes()
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_signed_zero_ties_keep_the_first_element(self, size):
+        rng = np.random.default_rng(50 + size)
+        arr = rng.choice(np.array([-0.0, 0.0, -1.0]), size=(2, 2, 2 * size, 2 * size))
+        x = Tensor(arr, requires_grad=True)
+        out = maxpool2d(x, size)
+        g = rng.standard_normal(out.shape)
+        out_ref, dx_ref = maxpool_reference(arr, size, g)
+        assert out.data.tobytes() == out_ref.tobytes()
+        assert backward(tsum(out * Tensor(g)))[x].tobytes() == dx_ref.tobytes()
+
+    def test_constant_input_pools_the_same_values(self):
+        arr = np.random.default_rng(60).integers(0, 3, size=(2, 3, 7, 6)).astype(float)
+        out = maxpool2d(Tensor(arr), 2)
+        assert not out.requires_grad
+        assert out.data.tobytes() == maxpool_reference(arr, 2, np.zeros(out.shape))[0].tobytes()

@@ -75,6 +75,23 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             ExperimentConfig.from_file(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("key,value", [
+        ("dataset_count", 0), ("ood_count", -5), ("ood_count", 0), ("attack_count", -1),
+        ("epsilon", -1.0), ("epsilon", float("nan")), ("hidden", 0),
+        ("detector_patience", 0), ("detector_epochs", 0), ("cw_iterations", 0)])
+    def test_out_of_range_value_rejected(self, tiny_config, key, value):
+        path, _ = tiny_config
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_file(path, overrides={key: value})
+
+    def test_range_floors_accepted(self, tiny_config):
+        path, _ = tiny_config
+        floors = {"dataset_count": 1, "ood_count": 1, "attack_count": 0, "epsilon": 0.0,
+                  "hidden": 1, "detector_patience": 1, "detector_epochs": 1,
+                  "cw_iterations": 1}
+        cfg = ExperimentConfig.from_file(path, overrides=floors)
+        assert all(getattr(cfg, key) == value for key, value in floors.items())
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_reloads(self, tiny_config):

@@ -194,3 +194,21 @@ class TestDatasetContainer:
         path = tmp_path / "ood.gdata"
         save_dataset(ds, path)
         assert np.all(load_dataset(path).labels == -1)
+
+
+class TestDatasetPixelCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, 1.5])
+    def test_pixel_outside_unit_interval_rejected(self, tmp_path, bad):
+        ds = gen_glyphs(6, seed=11)
+        ds.images[2, 0, 4, 4] = bad
+        path = tmp_path / "bad.gdata"
+        save_dataset(ds, path)
+        with pytest.raises(storage.RecordError, match="pixels"):
+            load_dataset(path)
+
+    def test_interval_ends_and_negative_zero_accepted(self, tmp_path):
+        ds = gen_glyphs(4, seed=12)
+        ds.images[0, 0, :3, 0] = [0.0, -0.0, 1.0]
+        path = tmp_path / "ends.gdata"
+        save_dataset(ds, path)
+        assert load_dataset(path).images.tobytes() == ds.images.tobytes()

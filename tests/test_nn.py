@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradgate import storage
-from gradgate.autodiff import ShapeError, Tensor, softmax_cross_entropy
+from gradgate.autodiff import ShapeError, Tensor, backward, softmax_cross_entropy
 from gradgate.data import Dataset
 from gradgate.nn import (
     ArchError,
@@ -225,3 +225,32 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "29130b73c5c6194305f42ec1861c1b6e94b06364e59628168c179c5982e17de4"
+
+
+class TestFrozen:
+    def test_shares_the_parameter_arrays(self):
+        model = build_classifier(small_cnn(), seed=0)
+        model.set_normalization(np.random.default_rng(1).uniform(size=(8, 1, 16, 16)))
+        frozen = model.frozen()
+        assert len(frozen.params) == len(model.params)
+        for ps, fs in zip(model.params, frozen.params):
+            assert (fs.name, fs.ordinal) == (ps.name, ps.ordinal)
+            assert fs.tensor.data is ps.tensor.data
+            assert not fs.tensor.requires_grad
+        assert ps.tensor.requires_grad  # the model itself is untouched
+        assert frozen.arch == model.arch and frozen.norm_std is model.norm_std
+
+    def test_backward_gives_the_input_gradient_and_no_parameter_gradient(self):
+        model = build_classifier(small_cnn(), seed=2)
+        images = np.random.default_rng(3).uniform(size=(5, 1, 16, 16))
+        labels = np.arange(5)
+        frozen = model.frozen()
+        x = Tensor(images, requires_grad=True)
+        grads = backward(softmax_cross_entropy(frozen.forward(x)[0], labels))
+        params = [ps.tensor for ps in model.params + frozen.params]
+        assert not any(p in grads for p in params)
+        x_ref = Tensor(images, requires_grad=True)
+        grads_ref = backward(softmax_cross_entropy(model.forward(x_ref)[0], labels))
+        assert all(ps.tensor in grads_ref for ps in model.params)
+        assert grads[x].tobytes() == grads_ref[x_ref].tobytes()
+        assert model.logits(images).tobytes() == model.forward(images)[0].data.tobytes()
