@@ -17,7 +17,7 @@ from .autodiff import (
     Tensor,
     amax,
     backward,
-    clip,
+    relu,
     softmax_cross_entropy,
     tanh,
     tsum,
@@ -199,7 +199,7 @@ def cw_l2(model, x, y, c=1.0, iterations=200, lr=0.1) -> AttackResult:
         dist = tsum((adv - x0) * (adv - x0))
         z_true = tsum(logits * onehot_t, axis=1)
         z_other = amax(logits + exclude_true, axis=1)
-        hinge = clip(z_true - z_other, lo=0.0, hi=None)  # kappa = 0
+        hinge = relu(z_true - z_other)  # max(., -kappa) with kappa = 0
         loss = dist + tsum(hinge) * c
         w = w - lr * backward(loss)[wt]
 

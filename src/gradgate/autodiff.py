@@ -158,37 +158,10 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    s = stable_sigmoid(x.data)
-    return _node(s, (x,), lambda g: (g * s * (1.0 - s),))
-
-
 def tanh(x: Tensor) -> Tensor:
     x = as_tensor(x)
     t = np.tanh(x.data)
     return _node(t, (x,), lambda g: (g * (1.0 - t * t),))
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural log. Caller guarantees strictly positive input."""
-    x = as_tensor(x)
-    return _node(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
-def clip(x: Tensor, lo=None, hi=None) -> Tensor:
-    """Clamp values to [lo, hi]. Gradient is 1 strictly inside the interval
-    and 0 at and outside the bounds."""
-    x = as_tensor(x)
-    if lo is None and hi is None:
-        return _node(x.data.copy(), (x,), lambda g: (g,))
-    val = np.clip(x.data, lo, hi)
-    inside = np.ones(x.data.shape, dtype=bool)
-    if lo is not None:
-        inside &= x.data > lo
-    if hi is not None:
-        inside &= x.data < hi
-    return _node(val, (x,), lambda g: (g * inside,))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -211,14 +184,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     ax = axis
     expand = lambda g: np.broadcast_to(np.expand_dims(g, ax), x.data.shape).copy()
     return _node(x.data.sum(axis=ax), (x,), lambda g: (expand(g),))
-
-
-def tmean(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    n = x.data.size
-    shape = x.data.shape
-    return _node(x.data.mean(), (x,),
-                 lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
 def amax(x: Tensor, axis: int) -> Tensor:
@@ -470,9 +435,20 @@ def backward(root: Tensor) -> dict:
     return grads
 
 
-def grad_wrt_input(root: Tensor, inp: Tensor) -> np.ndarray:
-    """Gradient of a scalar root with respect to one input node."""
-    grads = backward(root)
-    if inp not in grads:
-        raise GraphError("input does not participate in the root's computation")
-    return grads[inp]
+
+def sgd_step(params, grads, velocity, lr: float, momentum: float,
+             weight_decay: float = 0.0) -> None:
+    """One in-place SGD-with-momentum update of each parameter tensor.
+
+    ``grads`` maps each parameter to its gradient, as :func:`backward`
+    returns it, and ``velocity`` holds one buffer per parameter, updated in
+    place. A nonzero ``weight_decay`` adds the L2 term
+    ``weight_decay * p`` to the gradient first.
+    """
+    for p, v in zip(params, velocity):
+        g = grads[p]
+        if weight_decay:
+            g = g + weight_decay * p.data
+        v *= momentum
+        v += g
+        p.data -= lr * v

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attacks, data, detector, gradfeat, nn
+from . import attacks, data, detector, gradfeat, nn, storage
 from .config import ExperimentConfig, child_seed
 
 
@@ -46,8 +46,7 @@ def ensure_classifier(cfg: ExperimentConfig, out: Path):
     model = nn.build_classifier(cfg.arch_spec(), seed=child_seed(cfg.master_seed, "init"))
     model, history = nn.train_classifier(model, train, val, cfg.train_config())
     nn.save_checkpoint(model, path)
-    hist_path = out / f"history-{cfg.digest()}.txt"
-    with open(hist_path, "w") as fh:
+    with storage.atomic_open(out / f"history-{cfg.digest()}.txt") as fh:
         for h in history:
             fh.write(f"epoch={h['epoch']} train_loss={h['train_loss']:.6f} "
                      f"train_accuracy={h['train_accuracy']:.4f} "
@@ -55,24 +54,15 @@ def ensure_classifier(cfg: ExperimentConfig, out: Path):
     return model, path
 
 
-def _attack_sources(cfg: ExperimentConfig):
-    return [f"adv-{kind}" for kind in cfg.attack_kinds]
-
-
-def _ood_sources(cfg: ExperimentConfig):
-    return [f"ood-{kind}" for kind in cfg.ood_kinds]
-
-
 def ensure_anomalies(cfg: ExperimentConfig, model, out: Path) -> dict:
     """Generate (or reload) the clean test set, adversarial sets, and OOD
-    sets; adversarial outputs pass exact budget and range gates before
-    anything is written."""
+    sets, keyed by source tag in that order; adversarial outputs pass exact
+    budget and range gates before anything is written."""
     digest = cfg.digest()
-    paths = {"clean-test": out / f"clean-test-{digest}.gdata"}
-    for kind in cfg.attack_kinds:
-        paths[f"adv-{kind}"] = out / f"adv-{kind}-{digest}.gdata"
-    for kind in cfg.ood_kinds:
-        paths[f"ood-{kind}"] = out / f"ood-{kind}-{digest}.gdata"
+    attack_tags = {f"adv-{kind}": kind for kind in cfg.attack_kinds}
+    ood_tags = {f"ood-{kind}": kind for kind in cfg.ood_kinds}
+    paths = {tag: out / f"{tag}-{digest}.gdata"
+             for tag in ["clean-test", *attack_tags, *ood_tags]}
     if all(p.exists() for p in paths.values()):
         return {tag: data.load_dataset(p) for tag, p in paths.items()}
 
@@ -81,14 +71,12 @@ def ensure_anomalies(cfg: ExperimentConfig, model, out: Path) -> dict:
         test = test.subset(np.arange(cfg.attack_count))
     sets = {"clean-test": data.Dataset(test.images, test.labels, "clean-test", test.seed)}
     frozen = model.frozen()
-    for kind in cfg.attack_kinds:
+    for tag, kind in attack_tags.items():
         acfg = cfg.attack_config(kind)
         result = attacks.run_attack(frozen, test.images, test.labels, acfg)
         _gate_attack(kind, result, acfg)
-        tag = f"adv-{kind}"
         sets[tag] = data.Dataset(result.images, test.labels, tag, acfg.seed)
-    for kind in cfg.ood_kinds:
-        tag = f"ood-{kind}"
+    for tag, kind in ood_tags.items():
         sets[tag] = data.gen_ood(kind, cfg.ood_count,
                                  seed=child_seed(cfg.master_seed, tag),
                                  shape=test.images.shape[1:])
@@ -108,27 +96,17 @@ def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
         raise PipelineError(f"{kind}: non-finite adversarial pixels")
 
 
-def confounding_label(cfg: ExperimentConfig, num_classes: int) -> gradfeat.ConfoundingLabel:
-    """The confounding label every command of a run scores with."""
-    return gradfeat.make_confounding_label(num_classes, cfg.confounding_kind,
-                                           k=cfg.confounding_k,
-                                           seed=child_seed(cfg.master_seed, "label"))
-
-
 def ensure_features(cfg: ExperimentConfig, model, sets: dict, mode: str, out: Path) -> dict:
     """Extract (or reload) one feature CSV per anomaly source for a mode."""
     digest = cfg.digest()
-    label = confounding_label(cfg, model.num_classes)
+    label = cfg.confounding_label(model.num_classes)
     features = {}
     for tag, ds in sets.items():
         path = out / f"features-{mode}-{tag}-{digest}.csv"
         if path.exists():
             features[tag] = gradfeat.load_features_csv(path)
             continue
-        if mode == "gradient":
-            fs = gradfeat.extract_gradient_features(model, ds.images, label, tag)
-        else:
-            fs = gradfeat.extract_activation_features(model, ds.images, tag)
+        fs = gradfeat.extract_features(model, ds.images, mode, label, tag)
         gradfeat.save_features_csv(fs, path)
         features[tag] = fs
     return features
@@ -161,35 +139,35 @@ def msp_report(cfg: ExperimentConfig, model, clean_ds, anom_ds, seed: int):
     return scored, detector.evaluate(scored)
 
 
-METHODS = ("gradient", "activation", "msp")
-
-
 def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
     """Full pipeline; returns MetricReport rows, one per source and method."""
     out.mkdir(parents=True, exist_ok=True)
     model, _ = ensure_classifier(cfg, out)
     sets = ensure_anomalies(cfg, model, out)
     feature_sets = {mode: ensure_features(cfg, model, sets, mode, out)
-                    for mode in ("gradient", "activation")}
+                    for mode in gradfeat.FEATURE_MODES}
     digest = cfg.digest()
 
     rows = []
-    for tag in _attack_sources(cfg) + _ood_sources(cfg):
+    for tag in list(sets)[1:]:  # every source after clean-test
         seed = child_seed(cfg.master_seed, f"detect:{tag}")
-        for mode in ("gradient", "activation"):
+        results = []
+        for mode in gradfeat.FEATURE_MODES:
             _, scored, metrics = detect_and_report(
                 cfg, feature_sets[mode]["clean-test"], feature_sets[mode][tag], seed)
-            detector.save_scores_csv(scored, out / f"scores-{tag}-{mode}-{digest}.csv")
-            rows.append(detector.MetricReport(
-                tag, mode, metrics["accuracy"], metrics["auroc"], metrics["aupr"],
-                int((scored.labels == 0).sum()), int((scored.labels == 1).sum())))
-        scored, metrics = msp_report(cfg, model, sets["clean-test"], sets[tag], seed)
-        detector.save_scores_csv(scored, out / f"scores-{tag}-msp-{digest}.csv")
-        rows.append(detector.MetricReport(
-            tag, "msp", metrics["accuracy"], metrics["auroc"], metrics["aupr"],
-            int((scored.labels == 0).sum()), int((scored.labels == 1).sum())))
+            results.append((mode, scored, metrics))
+        results.append(("msp", *msp_report(cfg, model, sets["clean-test"], sets[tag], seed)))
+        for method, scored, metrics in results:
+            detector.save_scores_csv(scored, out / f"scores-{tag}-{method}-{digest}.csv")
+            rows.append(_report_row(tag, method, scored, metrics))
     write_report(cfg, rows, out)
     return rows
+
+
+def _report_row(tag: str, method: str, scored, metrics: dict) -> detector.MetricReport:
+    return detector.MetricReport(tag, method, metrics["accuracy"], metrics["auroc"],
+                                 metrics["aupr"], int((scored.labels == 0).sum()),
+                                 int((scored.labels == 1).sum()))
 
 
 def report_kv_text(cfg: ExperimentConfig, rows) -> str:
@@ -214,27 +192,31 @@ def report_table_text(cfg: ExperimentConfig, rows) -> str:
 
 
 def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
-    (out / f"report-{cfg.digest()}.kv").write_text(report_kv_text(cfg, rows))
-    (out / f"report-{cfg.digest()}.txt").write_text(report_table_text(cfg, rows))
+    for suffix, render in (("kv", report_kv_text), ("txt", report_table_text)):
+        with storage.atomic_open(out / f"report-{cfg.digest()}.{suffix}") as fh:
+            fh.write(render(cfg, rows))
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _load_config(args) -> ExperimentConfig:
+def _setup(args):
+    """Load the config with the command-line overrides and create its output
+    directory; returns (config, output directory)."""
     overrides = {}
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = args.seed
-    return ExperimentConfig.from_file(args.config, overrides)
+    cfg = ExperimentConfig.from_file(args.config, overrides)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out
 
 
 def cmd_train_classifier(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args)
     model, path = ensure_classifier(cfg, out)
     print(f"checkpoint: {path}")
     print(f"val_accuracy: {model.val_accuracy}")
@@ -242,9 +224,7 @@ def cmd_train_classifier(args) -> int:
 
 
 def cmd_gen_anomalies(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args)
     model = nn.load_checkpoint(args.checkpoint)
     sets = ensure_anomalies(cfg, model, out)
     for tag, ds in sets.items():
@@ -253,9 +233,7 @@ def cmd_gen_anomalies(args) -> int:
 
 
 def cmd_extract_features(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args)
     mode = args.mode or cfg.feature_mode
     model = nn.load_checkpoint(args.checkpoint)
     ds = data.load_dataset(args.dataset)
@@ -267,9 +245,7 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args)
     normal = gradfeat.load_features_csv(args.normal)
     anomalous = gradfeat.load_features_csv(args.anomalous)
     if len(anomalous) == 0:
@@ -281,17 +257,14 @@ def cmd_detect(args) -> int:
     _, scored, metrics = detect_and_report(cfg, normal, anomalous, seed)
     scores_path = out / f"scores-{tag}-detect-{cfg.digest()}.csv"
     detector.save_scores_csv(scored, scores_path)
-    rows = [detector.MetricReport(tag, "detector", metrics["accuracy"], metrics["auroc"],
-                                  metrics["aupr"], int((scored.labels == 0).sum()),
-                                  int((scored.labels == 1).sum()))]
+    rows = [_report_row(tag, "detector", scored, metrics)]
     write_report(cfg, rows, out)
     print(report_table_text(cfg, rows))
     return 0
 
 
 def cmd_run_experiment(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
+    cfg, out = _setup(args)
     rows = run_experiment(cfg, out)
     print(report_table_text(cfg, rows))
     print(f"report: {out / f'report-{cfg.digest()}.kv'}")
@@ -299,24 +272,16 @@ def cmd_run_experiment(args) -> int:
 
 
 def cmd_compare_norms(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args)
     model = nn.load_checkpoint(args.checkpoint)
     datasets = [data.load_dataset(p) for p in args.datasets.split(",")]
     if any(len(ds) == 0 for ds in datasets):
         raise PipelineError("compare-norms requires nonempty datasets")
-    label = confounding_label(cfg, model.num_classes)
+    label = cfg.confounding_label(model.num_classes)
     lines = []
-    for mode in ("gradient", "activation"):
-        per_set = []
-        for ds in datasets:
-            if mode == "gradient":
-                per_set.append(gradfeat.extract_gradient_features(model, ds.images, label,
-                                                                  ds.source_tag))
-            else:
-                per_set.append(gradfeat.extract_activation_features(model, ds.images,
-                                                                    ds.source_tag))
+    for mode in gradfeat.FEATURE_MODES:
+        per_set = [gradfeat.extract_features(model, ds.images, mode, label, ds.source_tag)
+                   for ds in datasets]
         merged = gradfeat.concat_features(per_set)
         summary = gradfeat.norm_summary(merged.values, merged.tags)
         names = per_set[0].feature_names
@@ -328,7 +293,8 @@ def cmd_compare_norms(args) -> int:
                 lines.append(f"{tag:<22}{mn:>12.4g}{q1:>12.4g}{med:>12.4g}{q3:>12.4g}{mx:>12.4g}")
             lines.append("")
     text = "\n".join(lines)
-    (out / f"norms-{cfg.digest()}.txt").write_text(text + "\n")
+    with storage.atomic_open(out / f"norms-{cfg.digest()}.txt") as fh:
+        fh.write(text + "\n")
     print(text)
     return 0
 
@@ -354,7 +320,7 @@ def main(argv=None) -> int:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="a .gdata file")
-    p.add_argument("--mode", choices=("gradient", "activation"))
+    p.add_argument("--mode", choices=gradfeat.FEATURE_MODES)
 
     p = sub.add_parser("detect", help="train a detector from two feature CSVs")
     common(p)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 
 from .attacks import ATTACK_KINDS, AttackConfig
 from .data import OOD_KINDS
+from .gradfeat import FEATURE_MODES, ConfoundingLabel, make_confounding_label
 from .nn import ArchSpec, TrainConfig, mlp, small_cnn
 
 
@@ -99,13 +100,15 @@ class ExperimentConfig:
         for kind in self.ood_kinds:
             if kind not in OOD_KINDS:
                 raise ValueError(f"unknown OOD kind {kind!r}")
-        if self.feature_mode not in ("gradient", "activation"):
+        if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature mode {self.feature_mode!r}")
         for key, low in _MINIMUMS.items():
             value = getattr(self, key)
             if not value >= low:  # NaN fails too
                 raise ValueError(f"{key} must be >= {low}, got {value}")
-        self.arch_spec()  # raises on a malformed arch string
+        # raises on a malformed arch string, an unknown label kind, or a
+        # k-hot k outside [2, num_classes]
+        self.confounding_label(self.arch_spec().num_classes)
         return self
 
     # -- structured views -------------------------------------------------
@@ -128,6 +131,12 @@ class ExperimentConfig:
                             iterations=self.iterations, cw_c=self.cw_c,
                             cw_iterations=self.cw_iterations, cw_lr=self.cw_lr,
                             seed=child_seed(self.master_seed, f"attack:{kind}"))
+
+    def confounding_label(self, num_classes: int) -> ConfoundingLabel:
+        """The confounding label every command of a run scores with."""
+        return make_confounding_label(num_classes, self.confounding_kind,
+                                      k=self.confounding_k,
+                                      seed=child_seed(self.master_seed, "label"))
 
     # -- serialization ----------------------------------------------------
 

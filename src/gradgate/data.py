@@ -201,33 +201,37 @@ def allocate_counts(n: int, fractions) -> list:
     return [bounds[i + 1] - bounds[i] for i in range(len(fractions))]
 
 
-def split(dataset: Dataset, fractions, seed: int) -> tuple:
-    """Seeded stratified split into len(fractions) parts.
+def stratify(groups, fractions, rng) -> list:
+    """Split groups of indices into len(fractions) parts, stratified by group.
 
-    Each label's indices are permuted then sliced contiguously, so class
-    proportions per part deviate from the global proportions by at most one
-    sample per class.
+    Groups are drawn in the order given. Each group's indices are permuted
+    with ``rng`` then sliced contiguously by :func:`allocate_counts`, so
+    every group is within one sample of its exact share of every part.
+    Returns one sorted index array per part.
     """
+    parts = [[] for _ in fractions]
+    for idx in groups:
+        idx = idx[rng.permutation(len(idx))]
+        start = 0
+        for chunks, size in zip(parts, allocate_counts(len(idx), fractions)):
+            chunks.append(idx[start:start + size])
+            start += size
+    return [np.sort(np.concatenate(chunks)) for chunks in parts]
+
+
+def split(dataset: Dataset, fractions, seed: int) -> tuple:
+    """Seeded split into len(fractions) parts, stratified by label (in
+    sorted label order), so class proportions per part deviate from the
+    global proportions by at most one sample per class."""
     fractions = tuple(float(f) for f in fractions)
     if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must be positive and sum to 1, got {fractions}")
-    rng = np.random.default_rng(seed)
-    part_indices = [[] for _ in fractions]
-    for cls in np.unique(dataset.labels):
-        idx = np.flatnonzero(dataset.labels == cls)
-        idx = idx[rng.permutation(len(idx))]
-        sizes = allocate_counts(len(idx), fractions)
-        start = 0
-        for p, size in enumerate(sizes):
-            part_indices[p].append(idx[start:start + size])
-            start += size
-    parts = []
-    for chunks in part_indices:
-        merged = np.sort(np.concatenate(chunks))
-        if len(merged) == 0:
-            raise ValueError("split produced an empty part")
-        parts.append(dataset.subset(merged))
-    return tuple(parts)
+    labels = dataset.labels
+    groups = [np.flatnonzero(labels == cls) for cls in np.unique(labels)]
+    parts = stratify(groups, fractions, np.random.default_rng(seed))
+    if any(len(part) == 0 for part in parts):
+        raise ValueError("split produced an empty part")
+    return tuple(dataset.subset(part) for part in parts)
 
 
 def save_dataset(dataset: Dataset, path, extra_metadata: dict | None = None) -> None:

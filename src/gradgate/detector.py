@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import storage
-from .autodiff import Tensor, backward, bce_with_logits, matmul, relu, stable_sigmoid
-from .data import allocate_counts
+from .autodiff import Tensor, backward, bce_with_logits, matmul, relu, sgd_step, stable_sigmoid
+from .data import stratify
 from .gradfeat import FeatureSet, concat_features
 
 
@@ -144,19 +144,10 @@ def msp_scores(model, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
 # detection set assembly
 # ---------------------------------------------------------------------------
 
-def _split_side(fs: FeatureSet, fractions, rng) -> list:
-    """Split one side stratified by source tag; cumulative-floor sizes keep
-    every tag within one sample of its exact share per part."""
-    parts = [[] for _ in fractions]
-    for tag in dict.fromkeys(fs.tags):
-        idx = np.array([i for i, t in enumerate(fs.tags) if t == tag])
-        idx = idx[rng.permutation(len(idx))]
-        sizes = allocate_counts(len(idx), fractions)
-        start = 0
-        for p, size in enumerate(sizes):
-            parts[p].append(idx[start:start + size])
-            start += size
-    return [np.sort(np.concatenate(chunks)) for chunks in parts]
+def _tag_groups(fs: FeatureSet) -> list:
+    """Row indices of each source tag, in first-seen tag order."""
+    tags = np.asarray(fs.tags)
+    return [np.flatnonzero(tags == tag) for tag in dict.fromkeys(fs.tags)]
 
 
 DETECTION_FRACTIONS = (0.4, 0.4, 0.2)
@@ -173,8 +164,8 @@ def assemble_detection_sets(normal: FeatureSet, anomalous: FeatureSet, seed: int
     anomalous = anomalous.with_anomaly_label(1)
     rng_n = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
     rng_a = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
-    parts_n = _split_side(normal, DETECTION_FRACTIONS, rng_n)
-    parts_a = _split_side(anomalous, DETECTION_FRACTIONS, rng_a)
+    parts_n = stratify(_tag_groups(normal), DETECTION_FRACTIONS, rng_n)
+    parts_a = stratify(_tag_groups(anomalous), DETECTION_FRACTIONS, rng_a)
     return tuple(concat_features([normal.subset(pn), anomalous.subset(pa)])
                  for pn, pa in zip(parts_n, parts_a))
 
@@ -259,11 +250,7 @@ def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: i
             loss = bce_with_logits(det.logit(x[idx]), y[idx])
             if not np.isfinite(loss.data):
                 raise RuntimeError("non-finite detector loss")
-            grads = backward(loss)
-            for p, v in zip(det._params(), velocity):
-                v *= momentum
-                v += grads[p]
-                p.data -= learning_rate * v
+            sgd_step(det._params(), backward(loss), velocity, learning_rate, momentum)
         val_auroc = auroc(val.anomaly_labels, det.score(val.values))
         if val_auroc > best_auroc + 1e-12:
             best_auroc = val_auroc
@@ -290,25 +277,10 @@ SCORE_COLUMNS = ("sample_id", "anomaly_label", "score", "source_tag")
 
 
 def save_scores_csv(scored: ScoredSamples, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with storage.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORE_COLUMNS)
         for i in range(len(scored)):
             writer.writerow([str(int(scored.sample_ids[i])), str(int(scored.labels[i])),
                              storage.fmt_float(scored.scores[i]), scored.tags[i]])
 
-
-def load_scores_csv(path) -> ScoredSamples:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != SCORE_COLUMNS:
-            raise ValueError(f"{path}: not a scores CSV")
-        ids, labels, scores, tags = [], [], [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            labels.append(int(row[1]))
-            scores.append(float(row[2]))
-            tags.append(row[3])
-    return ScoredSamples(np.array(ids), np.array(labels, dtype=np.int64),
-                         np.array(scores), tags)

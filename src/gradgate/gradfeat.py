@@ -52,9 +52,6 @@ class ConfoundingLabel:
         object.__setattr__(self, "vector", v)
 
 
-LABEL_KINDS = ("all-ones", "all-zeros", "k-hot")
-
-
 def make_confounding_label(num_classes: int, kind: str = "all-ones",
                            k: int | None = None, seed: int = 0) -> ConfoundingLabel:
     """Build a confounding label over ``num_classes`` classes.
@@ -206,6 +203,19 @@ def extract_activation_features(model, images: np.ndarray, source_tag: str = "",
                       [source_tag] * n, names, "")
 
 
+FEATURE_MODES = ("gradient", "activation")
+
+
+def extract_features(model, images: np.ndarray, mode: str, label: ConfoundingLabel,
+                     source_tag: str = "") -> FeatureSet:
+    """Features of one mode; activation features do not use ``label``."""
+    if mode == "gradient":
+        return extract_gradient_features(model, images, label, source_tag)
+    if mode == "activation":
+        return extract_activation_features(model, images, source_tag)
+    raise ValueError(f"unknown feature mode {mode!r}")
+
+
 def norm_summary(values: np.ndarray, tags) -> dict:
     """Exact order statistics (min, quartiles, max) per feature per tag."""
     values = np.asarray(values, dtype=np.float64)
@@ -232,7 +242,7 @@ CSV_FIXED_COLUMNS = ("sample_id", "anomaly_label", "source_tag")
 def save_features_csv(fs: FeatureSet, path) -> None:
     """Write ``sample_id,anomaly_label,source_tag,f0..f{P-1}`` rows; floats
     carry 17 significant digits so parse -> serialize is byte-identical."""
-    with open(path, "w", newline="") as fh:
+    with storage.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(CSV_FIXED_COLUMNS) + [f"f{j}" for j in range(fs.dim)])
         for i in range(len(fs)):

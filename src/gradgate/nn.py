@@ -23,6 +23,7 @@ from .autodiff import (
     maxpool2d,
     relu,
     reshape,
+    sgd_step,
     softmax_cross_entropy,
 )
 
@@ -333,7 +334,8 @@ def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
         return model, history
     model.set_normalization(train_set.images)
     rng = np.random.default_rng(cfg.seed)
-    velocity = {ps.name: np.zeros_like(ps.tensor.data) for ps in model.params}
+    params = [ps.tensor for ps in model.params]
+    velocity = [np.zeros_like(p.data) for p in params]
     n = len(train_set.labels)
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -346,15 +348,8 @@ def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} at epoch {epoch} batch {b}")
             losses.append(value)
-            grads = backward(loss)
-            for ps in model.params:
-                g = grads[ps.tensor]
-                if cfg.weight_decay:
-                    g = g + cfg.weight_decay * ps.tensor.data
-                v = velocity[ps.name]
-                v *= cfg.momentum
-                v += g
-                ps.tensor.data -= cfg.learning_rate * v
+            sgd_step(params, backward(loss), velocity, cfg.learning_rate, cfg.momentum,
+                     cfg.weight_decay)
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),

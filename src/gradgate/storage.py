@@ -6,11 +6,15 @@ by named tensor records. Each record is u16 name length, name bytes, u8 rank,
 rank u32 dims, and the row-major float64 payload (little-endian).
 
 Writers emit metadata keys in sorted order and floats with 17 significant
-digits, so identical inputs produce byte-identical files.
+digits, so identical inputs produce byte-identical files. Every artifact,
+container or text, is written through :func:`atomic_open`, so a file at its
+final path is always complete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -43,6 +47,25 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing; on a clean exit
+    it replaces ``path`` with ``os.replace``. On an exception the temporary
+    file is removed and ``path`` is left as it was; a process killed
+    mid-write leaves only the temporary file, which no artifact name
+    matches. So the cache never trusts a truncated artifact. There is no
+    fsync: this covers a process crash, not a power loss."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_container(path, magic: bytes, metadata: dict, records: list) -> None:
     """Write named float64 arrays. ``records`` is a list of (name, ndarray)."""
     if len(magic) != 5:
@@ -55,7 +78,7 @@ def write_container(path, magic: bytes, metadata: dict, records: list) -> None:
         meta_lines.append(f"{key}={value}")
     meta_blob = "\n".join(meta_lines).encode("utf-8")
 
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<H", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(meta_blob)))

@@ -10,16 +10,14 @@ from gradgate.autodiff import (
     Tensor,
     backward,
     bce_with_logits,
-    clip,
     conv2d,
-    grad_wrt_input,
     matmul,
     maxpool2d,
     relu,
-    sigmoid,
+    sgd_step,
     softmax_cross_entropy,
+    stable_sigmoid,
     tanh,
-    tmean,
     tsum,
 )
 
@@ -64,6 +62,25 @@ def maxpool_reference(x, size, g):
     for k, (i, j) in enumerate(slots):
         dx[:, :, i:i + size * oh:size, j:j + size * ow:size] += dwin[:, :, k]
     return out, dx
+
+
+def classifier_sgd_reference(params, grads, velocity, lr, momentum, weight_decay):
+    """The update loop nn.train_classifier ran inline before sgd_step."""
+    for p, v in zip(params, velocity):
+        g = grads[p]
+        if weight_decay:
+            g = g + weight_decay * p.data
+        v *= momentum
+        v += g
+        p.data -= lr * v
+
+
+def detector_sgd_reference(params, grads, velocity, lr, momentum):
+    """The update loop detector.train_detector ran inline before sgd_step."""
+    for p, v in zip(params, velocity):
+        v *= momentum
+        v += grads[p]
+        p.data -= lr * v
 
 
 def central_diff(f, arr, index, h=1e-5):
@@ -123,14 +140,15 @@ class TestForwardValues:
         out = maxpool2d(Tensor(x), 2)
         assert np.array_equal(out.data, [[[[5.0, 7.0], [13.0, 15.0]]]])
 
-    def test_sigmoid_saturation_is_finite(self):
-        out = sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[1] == 0.5
-
     def test_clip(self):
-        out = clip(Tensor([-2.0, 0.5, 3.0]), 0.0, 1.0)
-        assert np.array_equal(out.data, [0.0, 0.5, 1.0])
+        # cw_l2 clips its margin below at 0 through relu: np.clip's values
+        z = np.array([-2.0, -0.0, 0.0, 0.5, 3.0])
+        assert relu(Tensor(z)).data.tobytes() == np.clip(z, 0.0, None).tobytes()
+
+    def test_sigmoid_saturation_is_finite(self):
+        out = stable_sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert np.all(np.isfinite(out))
+        assert out[1] == 0.5
 
     def test_bias_add_broadcast(self):
         out = Tensor(np.zeros((3, 2))) + Tensor([1.0, 2.0])
@@ -144,19 +162,20 @@ class TestBackwardExamples:
         assert np.array_equal(grads[x], [2.0, 4.0, 6.0])
 
     def test_sigmoid_at_zero(self):
-        x = Tensor(0.0, requires_grad=True)
-        grads = backward(sigmoid(x))
-        assert np.isclose(grads[x], 0.25)
+        # the BCE gradient at logit z is sigmoid(z) - target
+        x = Tensor([0.0], requires_grad=True)
+        grads = backward(bce_with_logits(x, [0.0]))
+        assert np.isclose(grads[x][0], 0.5)
 
     def test_grad_wrt_input_linear(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
-        g = grad_wrt_input(tsum(x * 3.0), x)
+        g = backward(tsum(x * 3.0))[x]
         assert np.array_equal(g, np.full((2, 3), 3.0))
 
     def test_grad_wrt_input_bilinear(self):
         w = Tensor([1.0, -2.0])
         x = Tensor([5.0, 5.0], requires_grad=True)
-        g = grad_wrt_input(tsum(w * x), x)
+        g = backward(tsum(w * x))[x]
         assert np.array_equal(g, [1.0, -2.0])
 
     def test_fanout_accumulates(self):
@@ -177,8 +196,7 @@ class TestBackwardExamples:
     def test_input_not_on_tape(self):
         x = Tensor([1.0], requires_grad=True)
         other = Tensor([1.0], requires_grad=True)
-        with pytest.raises(GraphError):
-            grad_wrt_input(tsum(x * x), other)
+        assert other not in backward(tsum(x * x))
 
     def test_non_scalar_root_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -212,32 +230,56 @@ class TestGradientChecks:
         x = Tensor(rng.standard_normal((2, 2, 6, 6)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
         b = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
-        build = lambda: tmean(tanh(conv2d(x, w, b, stride=1, padding=1)))
+        build = lambda: tsum(tanh(conv2d(x, w, b, stride=1, padding=1)))
         grad_matches_fd(build, [w, b], rng)
 
     def test_conv_stride_two(self):
         rng = self.rng
         x = Tensor(rng.standard_normal((1, 1, 7, 7)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 1, 3, 3)) * 0.3, requires_grad=True)
-        build = lambda: tmean(conv2d(x, w, stride=2, padding=0) * conv2d(x, w, stride=2, padding=0))
+        build = lambda: tsum(conv2d(x, w, stride=2, padding=0) * conv2d(x, w, stride=2, padding=0))
         grad_matches_fd(build, [x, w], rng)
 
     def test_relu_maxpool(self):
         rng = self.rng
         x = Tensor(rng.standard_normal((2, 1, 6, 6)), requires_grad=True)
-        build = lambda: tmean(maxpool2d(relu(x), 2))
+        build = lambda: tsum(maxpool2d(relu(x), 2))
         grad_matches_fd(build, [x], rng)
+
+    def test_cw_objective(self):
+        """The cw_l2 loss, through a linear model: tanh box, squared L2
+        distance and the relu hinge on the true-class margin."""
+        rng = self.rng
+        x0 = Tensor(rng.uniform(0.1, 0.9, size=(3, 4)))
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((4, 5)))
+        onehot = np.eye(5)[[0, 2, 4]]
+
+        def build():
+            adv = tanh(w) * 0.5 + 0.5
+            z = matmul(adv, weights)
+            margin = tsum(z * Tensor(onehot), axis=1) - ad.amax(z + Tensor(onehot * -1e30), axis=1)
+            return tsum((adv - x0) * (adv - x0)) + tsum(relu(margin)) * 2.0
+
+        grad_matches_fd(build, [w], rng)
 
     def test_sigmoid_log(self):
+        """bce_with_logits is -log(sigmoid) in its saturating softplus form:
+        its value matches the explicit composition and its gradient the fd."""
         rng = self.rng
-        x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
-        build = lambda: tsum(ad.log(sigmoid(x) * 0.5 + Tensor(np.full((3, 4), 0.25))))
-        grad_matches_fd(build, [x], rng)
+        z = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
+        t = rng.integers(0, 2, size=(3, 4)).astype(float)
+        s = stable_sigmoid(z.data)
+        composed = -np.mean(t * np.log(s) + (1.0 - t) * np.log(1.0 - s))
+        np.testing.assert_allclose(bce_with_logits(z, t).data, composed, rtol=1e-12)
+        grad_matches_fd(lambda: bce_with_logits(z, t), [z], rng)
 
     def test_clip_interior(self):
+        # the relu hinge on either side of its bound 0, away from the kink
         rng = self.rng
-        x = Tensor(rng.uniform(0.1, 0.9, size=(4, 4)), requires_grad=True)
-        build = lambda: tsum(clip(x, 0.0, 1.0) * clip(x, 0.0, 1.0))
+        x = Tensor(rng.uniform(0.1, 0.9, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4)),
+                   requires_grad=True)
+        build = lambda: tsum(relu(x) * relu(x) + x * relu(x))
         grad_matches_fd(build, [x], rng)
 
     def test_bce_with_logits(self):
@@ -274,7 +316,7 @@ class TestGradientSkipping:
         out = conv2d(x, w, b, stride=2, padding=1)
         computed = out._vjp(np.ones(out.shape))
         assert [g is not None for g in computed] == list(flags)
-        grad_matches_fd(lambda: tmean(tanh(conv2d(x, w, b, stride=2, padding=1))),
+        grad_matches_fd(lambda: tsum(tanh(conv2d(x, w, b, stride=2, padding=1))),
                         [t for t in (x, w, b) if t.requires_grad], self.rng)
 
     @pytest.mark.parametrize("flags", REQUIRES_GRAD)
@@ -314,7 +356,7 @@ class TestInvariants:
         for _ in range(5):
             x = Tensor(rng.standard_normal(6), requires_grad=True)
             f = tsum(x * x)
-            g = tsum(sigmoid(x))
+            g = tsum(tanh(x))
             a, b = rng.standard_normal(2)
             combined = backward(f * float(a) + g * float(b))[x]
             separate = a * backward(f)[x] + b * backward(g)[x]
@@ -334,7 +376,7 @@ class TestInvariants:
             rng = np.random.default_rng(123)
             x = Tensor(rng.standard_normal((3, 1, 8, 8)))
             w = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
-            loss = tmean(maxpool2d(relu(conv2d(x, w, padding=1)), 2))
+            loss = tsum(maxpool2d(relu(conv2d(x, w, padding=1)), 2))
             return backward(loss)[w].tobytes()
 
         assert run() == run()
@@ -347,9 +389,39 @@ class TestInvariants:
         assert np.array_equal(grads[x], expected)
 
     def test_clip_zero_gradient_at_bounds(self):
-        x = Tensor([0.0, 0.5, 1.0, 1.5], requires_grad=True)
-        grads = backward(tsum(clip(x, 0.0, 1.0)))
-        assert np.array_equal(grads[x], [0.0, 1.0, 0.0, 0.0])
+        # cw_l2's hinge max(margin, 0): a margin of exactly 0 gets no gradient
+        x = Tensor([-1.0, -0.0, 0.0, 0.5], requires_grad=True)
+        out = relu(x)
+        assert np.array_equal(out.data, [0.0, 0.0, 0.0, 0.5])
+        assert np.array_equal(backward(tsum(out))[x], [0.0, 0.0, 0.0, 1.0])
+
+
+class TestSgdStep:
+    """sgd_step against the two trainers' former inline loops, bit for bit,
+    over several steps of random gradients."""
+
+    @staticmethod
+    def run(step, weight_decay):
+        rng = np.random.default_rng(21)
+        params = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in [(3, 4), (4,), (2, 1, 3, 3)]]
+        velocity = [np.zeros_like(p.data) for p in params]
+        for _ in range(5):
+            grads = {p: rng.standard_normal(p.shape) for p in params}
+            step(params, grads, velocity, weight_decay)
+        return [a.tobytes() for a in [p.data for p in params] + velocity]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_matches_classifier_loop(self, weight_decay):
+        got = self.run(lambda p, g, v, wd: sgd_step(p, g, v, 0.05, 0.9, wd), weight_decay)
+        ref = self.run(lambda p, g, v, wd: classifier_sgd_reference(p, g, v, 0.05, 0.9, wd),
+                       weight_decay)
+        assert got == ref
+
+    def test_matches_detector_loop(self):
+        got = self.run(lambda p, g, v, wd: sgd_step(p, g, v, 0.05, 0.9), 0.0)
+        ref = self.run(lambda p, g, v, wd: detector_sgd_reference(p, g, v, 0.05, 0.9), 0.0)
+        assert got == ref
 
 
 class TestShapeErrors:

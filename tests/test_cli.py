@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gradgate import cli
+from gradgate import cli, storage
 from gradgate.attacks import AttackConfig, AttackResult
 from gradgate.config import ExperimentConfig, child_seed
 from gradgate import gradfeat
 from gradgate.data import gen_glyphs, load_dataset, save_dataset
 from gradgate.gradfeat import load_features_csv, save_features_csv
-from gradgate.nn import load_checkpoint
+from gradgate.nn import build_classifier, load_checkpoint, small_cnn
+from gradgate.storage import fmt_float
 
 CONFIG_TEMPLATE = """
 [experiment]
@@ -83,6 +84,15 @@ class TestConfig:
         path, _ = tiny_config
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_file(path, overrides={key: value})
+
+    @pytest.mark.parametrize("overrides", [
+        {"confounding_kind": "bogus"},
+        {"confounding_kind": "k-hot", "confounding_k": 1},
+        {"confounding_kind": "k-hot", "confounding_k": 11}])
+    def test_bad_confounding_label_rejected(self, tiny_config, overrides):
+        path, _ = tiny_config
+        with pytest.raises(ValueError, match="k-hot|confounding"):
+            ExperimentConfig.from_file(path, overrides=overrides)
 
     def test_range_floors_accepted(self, tiny_config):
         path, _ = tiny_config
@@ -212,6 +222,32 @@ class TestExtractAndDetect:
         empty.write_text("sample_id,anomaly_label,source_tag,f0\n")
         assert cli.main(["detect", "--config", str(path), "--normal", str(normal),
                          "--anomalous", str(empty)]) == 1
+
+
+class TestFeatureCache:
+    def test_write_cut_short_is_regenerated(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
+        model = build_classifier(small_cnn(), seed=0)
+        sets = {"probe": gen_glyphs(6, seed=3)}
+        calls = []
+
+        def crash_on_20th_value(x):
+            calls.append(x)
+            if len(calls) == 20:
+                raise KeyboardInterrupt
+            return fmt_float(x)
+
+        monkeypatch.setattr(storage, "fmt_float", crash_on_20th_value)
+        with pytest.raises(KeyboardInterrupt):
+            cli.ensure_features(cfg, model, sets, "gradient", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.undo()
+        features = cli.ensure_features(cfg, model, sets, "gradient", tmp_path)
+        path = tmp_path / f"features-gradient-probe-{cfg.digest()}.csv"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert load_features_csv(path).values.tobytes() == features["probe"].values.tobytes()
+        assert len(features["probe"]) == 6
 
 
 class TestRunExperiment:

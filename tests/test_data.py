@@ -196,6 +196,26 @@ class TestDatasetContainer:
         assert np.all(load_dataset(path).labels == -1)
 
 
+class TestAtomicWrite:
+    def test_container_write_cut_short_leaves_no_file(self, tmp_path):
+        path = tmp_path / "set.gdata"
+        with pytest.raises(ValueError):  # the second record is not numeric
+            storage.write_container(path, b"GDATA", {},
+                                    [("images", np.ones(3)), ("labels", ["x"])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "set.gdata"
+        save_dataset(gen_glyphs(5, seed=9), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with storage.atomic_open(path, "wb") as fh:
+                fh.write(b"GDATA partial")
+                raise RuntimeError("killed mid-write")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["set.gdata"]
+
+
 class TestDatasetPixelCheck:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, 1.5])
     def test_pixel_outside_unit_interval_rejected(self, tmp_path, bad):

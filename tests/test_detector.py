@@ -1,13 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
 
+from gradgate.data import allocate_counts
 from gradgate.detector import (
+    DETECTION_FRACTIONS,
+    SCORE_COLUMNS,
     assemble_detection_sets,
     aupr,
     auroc,
     detection_accuracy,
     evaluate,
-    load_scores_csv,
     msp_scores,
     save_scores_csv,
     score,
@@ -189,7 +193,42 @@ class TestMsp:
                                    rtol=1e-12, atol=1e-15)
 
 
+def split_side_reference(fs, fractions, rng):
+    """The per-side split loop the detector ran before data.stratify: tags
+    in first-seen order, each tag's rows permuted and sliced by
+    cumulative-floor counts."""
+    parts = [[] for _ in fractions]
+    for tag in dict.fromkeys(fs.tags):
+        idx = np.array([i for i, t in enumerate(fs.tags) if t == tag])
+        idx = idx[rng.permutation(len(idx))]
+        sizes = allocate_counts(len(idx), fractions)
+        start = 0
+        for p, size in enumerate(sizes):
+            parts[p].append(idx[start:start + size])
+            start += size
+    return [np.sort(np.concatenate(chunks)) for chunks in parts]
+
+
 class TestAssemble:
+    def test_matches_split_side_loop_on_unsorted_tags(self):
+        rng = np.random.default_rng(8)
+        tags = ["fgsm", "uniform-noise", "textures"]
+        tags += list(rng.choice(tags, size=44))
+        assert list(dict.fromkeys(tags)) != sorted(set(tags))
+        n = len(tags)
+        anom = FeatureSet(rng.uniform(size=(n, 2)), np.arange(100, 100 + n),
+                          np.full(n, -1, dtype=np.int64), tags, ["f0", "f1"])
+        normal = make_features(rng.uniform(size=(30, 2)), -1, "clean")
+        parts = assemble_detection_sets(normal, anom, seed=9)
+        ref_n = split_side_reference(normal, DETECTION_FRACTIONS, np.random.default_rng(
+            np.random.SeedSequence(entropy=(9, 0))))
+        ref_a = split_side_reference(anom, DETECTION_FRACTIONS, np.random.default_rng(
+            np.random.SeedSequence(entropy=(9, 1))))
+        for part, pn, pa in zip(parts, ref_n, ref_a):
+            expected = np.concatenate([normal.sample_ids[pn], anom.sample_ids[pa]])
+            assert part.sample_ids.tolist() == expected.tolist()
+            assert part.tags == [normal.tags[i] for i in pn] + [anom.tags[i] for i in pa]
+
     def test_sizes_100_100(self):
         normal = make_features(np.random.default_rng(0).uniform(size=(100, 3)), -1, "clean")
         anom = make_features(np.random.default_rng(1).uniform(size=(100, 3)), -1, "adv")
@@ -306,14 +345,15 @@ class TestScoresCsv:
                                np.array([0.25, 0.5, 0.125]), ["a", "b", "b"])
         path = tmp_path / "scores.csv"
         save_scores_csv(scored, path)
-        loaded = load_scores_csv(path)
-        assert np.array_equal(loaded.sample_ids, scored.sample_ids)
-        assert np.array_equal(loaded.labels, scored.labels)
-        assert np.array_equal(loaded.scores, scored.scores)
-        assert loaded.tags == scored.tags
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(r[0]) for r in rows] == scored.sample_ids.tolist()
+        assert [int(r[1]) for r in rows] == scored.labels.tolist()
+        assert [float(r[2]) for r in rows] == scored.scores.tolist()
+        assert [r[3] for r in rows] == scored.tags
 
     def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError):
-            load_scores_csv(path)
+        path = tmp_path / "scores.csv"
+        save_scores_csv(ScoredSamples(np.array([0]), np.array([1]), np.array([0.5]), ["a"]),
+                        path)
+        assert path.read_text().splitlines()[0] == ",".join(SCORE_COLUMNS)
