@@ -24,7 +24,6 @@ from .autodiff import (
 )
 
 ATTACK_KINDS = ("fgsm", "bim", "pgd", "iterll", "cw", "semantic")
-_ITERATIVE = ("bim", "pgd", "iterll")
 
 
 @dataclass
@@ -43,12 +42,14 @@ class AttackConfig:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.kind in _ITERATIVE and self.alpha <= 0:
-            raise ValueError("alpha must be positive for iterative attacks")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
         if self.iterations < 1 or self.cw_iterations < 1:
-            raise ValueError("iteration counts must be >= 1")
+            raise ValueError("iterations and cw_iterations must be >= 1")
         if self.cw_c <= 0:
             raise ValueError("cw_c must be positive")
+        if self.cw_lr <= 0:
+            raise ValueError("cw_lr must be positive")
 
 
 @dataclass

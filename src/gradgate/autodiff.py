@@ -47,14 +47,6 @@ class Tensor:
         self._parents: tuple = ()
         self._vjp = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -67,18 +59,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def as_tensor(x, requires_grad: bool = False) -> Tensor:

@@ -3,6 +3,8 @@ detect, and report.
 
 Artifacts are named by the resolved config digest, so every command is
 idempotent: reruns with unchanged inputs reuse what is already on disk.
+Each artifact is loaded or made on its own, so a missing file costs only
+the work that makes it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ class PipelineError(RuntimeError):
 # cached pipeline stages
 # ---------------------------------------------------------------------------
 
+def _artifact(cfg: ExperimentConfig, out: Path, stem: str, ext: str) -> Path:
+    """The path of one artifact of this config: ``<stem>-<digest>.<ext>``."""
+    return out / f"{stem}-{cfg.digest()}.{ext}"
+
+
 def make_splits(cfg: ExperimentConfig):
     if cfg.dataset_kind == "glyphs":
         ds = data.gen_glyphs(cfg.dataset_count, seed=child_seed(cfg.master_seed, "data"))
@@ -39,14 +46,14 @@ def make_splits(cfg: ExperimentConfig):
 
 def ensure_classifier(cfg: ExperimentConfig, out: Path):
     """Train (or reload) the classifier for this config digest."""
-    path = out / f"classifier-{cfg.digest()}.ggate"
+    path = _artifact(cfg, out, "classifier", "ggate")
     if path.exists():
         return nn.load_checkpoint(path), path
     train, val, _ = make_splits(cfg)
     model = nn.build_classifier(cfg.arch_spec(), seed=child_seed(cfg.master_seed, "init"))
     model, history = nn.train_classifier(model, train, val, cfg.train_config())
     nn.save_checkpoint(model, path)
-    with storage.atomic_open(out / f"history-{cfg.digest()}.txt") as fh:
+    with storage.atomic_open(_artifact(cfg, out, "history", "txt")) as fh:
         for h in history:
             fh.write(f"epoch={h['epoch']} train_loss={h['train_loss']:.6f} "
                      f"train_accuracy={h['train_accuracy']:.4f} "
@@ -56,33 +63,34 @@ def ensure_classifier(cfg: ExperimentConfig, out: Path):
 
 def ensure_anomalies(cfg: ExperimentConfig, model, out: Path) -> dict:
     """Generate (or reload) the clean test set, adversarial sets, and OOD
-    sets, keyed by source tag in that order; adversarial outputs pass exact
-    budget and range gates before anything is written."""
-    digest = cfg.digest()
-    attack_tags = {f"adv-{kind}": kind for kind in cfg.attack_kinds}
-    ood_tags = {f"ood-{kind}": kind for kind in cfg.ood_kinds}
-    paths = {tag: out / f"{tag}-{digest}.gdata"
-             for tag in ["clean-test", *attack_tags, *ood_tags]}
-    if all(p.exists() for p in paths.values()):
-        return {tag: data.load_dataset(p) for tag, p in paths.items()}
-
-    _, _, test = make_splits(cfg)
-    if cfg.attack_count and cfg.attack_count < len(test):
-        test = test.subset(np.arange(cfg.attack_count))
-    sets = {"clean-test": data.Dataset(test.images, test.labels, "clean-test", test.seed)}
-    frozen = model.frozen()
-    for tag, kind in attack_tags.items():
-        acfg = cfg.attack_config(kind)
-        result = attacks.run_attack(frozen, test.images, test.labels, acfg)
-        _gate_attack(kind, result, acfg)
-        sets[tag] = data.Dataset(result.images, test.labels, tag, acfg.seed)
-    for tag, kind in ood_tags.items():
-        sets[tag] = data.gen_ood(kind, cfg.ood_count,
-                                 seed=child_seed(cfg.master_seed, tag),
-                                 shape=test.images.shape[1:])
-        sets[tag].source_tag = tag
-    for tag, ds in sets.items():
-        data.save_dataset(ds, paths[tag], extra_metadata={"config_digest": digest})
+    sets, keyed by source tag in that order. Each set is loaded or made on
+    its own; adversarial outputs pass exact budget and range gates before
+    anything is written."""
+    tags = ["clean-test", *(f"adv-{kind}" for kind in cfg.attack_kinds),
+            *(f"ood-{kind}" for kind in cfg.ood_kinds)]
+    sets, test = {}, None
+    for tag in tags:
+        path = _artifact(cfg, out, tag, "gdata")
+        if path.exists():
+            sets[tag] = data.load_dataset(path)
+            continue
+        origin, kind = tag.split("-", 1)
+        if origin != "ood" and test is None:  # built at most once, and only when needed
+            _, _, test = make_splits(cfg)
+            if cfg.attack_count and cfg.attack_count < len(test):
+                test = test.subset(np.arange(cfg.attack_count))
+        if origin == "clean":
+            ds = data.Dataset(test.images, test.labels, tag, test.seed)
+        elif origin == "adv":
+            acfg = cfg.attack_config(kind)
+            result = attacks.run_attack(model.frozen(), test.images, test.labels, acfg)
+            _gate_attack(kind, result, acfg)
+            ds = data.Dataset(result.images, test.labels, tag, acfg.seed)
+        else:
+            ds = data.gen_ood(kind, cfg.ood_count, seed=child_seed(cfg.master_seed, tag),
+                              shape=model.arch.input_shape)
+        data.save_dataset(ds, path, extra_metadata={"config_digest": cfg.digest()})
+        sets[tag] = ds
     return sets
 
 
@@ -98,11 +106,10 @@ def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
 
 def ensure_features(cfg: ExperimentConfig, model, sets: dict, mode: str, out: Path) -> dict:
     """Extract (or reload) one feature CSV per anomaly source for a mode."""
-    digest = cfg.digest()
     label = cfg.confounding_label(model.num_classes)
     features = {}
     for tag, ds in sets.items():
-        path = out / f"features-{mode}-{tag}-{digest}.csv"
+        path = _artifact(cfg, out, f"features-{mode}-{tag}", "csv")
         if path.exists():
             features[tag] = gradfeat.load_features_csv(path)
             continue
@@ -146,7 +153,6 @@ def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
     sets = ensure_anomalies(cfg, model, out)
     feature_sets = {mode: ensure_features(cfg, model, sets, mode, out)
                     for mode in gradfeat.FEATURE_MODES}
-    digest = cfg.digest()
 
     rows = []
     for tag in list(sets)[1:]:  # every source after clean-test
@@ -158,9 +164,9 @@ def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
             results.append((mode, scored, metrics))
         results.append(("msp", *msp_report(cfg, model, sets["clean-test"], sets[tag], seed)))
         for method, scored, metrics in results:
-            detector.save_scores_csv(scored, out / f"scores-{tag}-{method}-{digest}.csv")
+            detector.save_scores_csv(scored, _artifact(cfg, out, f"scores-{tag}-{method}", "csv"))
             rows.append(_report_row(tag, method, scored, metrics))
-    write_report(cfg, rows, out)
+    write_report(cfg, rows, out, "report")
     return rows
 
 
@@ -191,9 +197,10 @@ def report_table_text(cfg: ExperimentConfig, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
+def write_report(cfg: ExperimentConfig, rows, out: Path, stem: str) -> None:
+    """Write ``<stem>-<digest>.kv`` and ``<stem>-<digest>.txt``."""
     for suffix, render in (("kv", report_kv_text), ("txt", report_table_text)):
-        with storage.atomic_open(out / f"report-{cfg.digest()}.{suffix}") as fh:
+        with storage.atomic_open(_artifact(cfg, out, stem, suffix)) as fh:
             fh.write(render(cfg, rows))
 
 
@@ -234,13 +241,12 @@ def cmd_gen_anomalies(args) -> int:
 
 def cmd_extract_features(args) -> int:
     cfg, out = _setup(args)
-    mode = args.mode or cfg.feature_mode
     model = nn.load_checkpoint(args.checkpoint)
     ds = data.load_dataset(args.dataset)
     tag = ds.source_tag or Path(args.dataset).stem
-    features = ensure_features(cfg, model, {tag: ds}, mode, out)
-    path = out / f"features-{mode}-{tag}-{cfg.digest()}.csv"
-    print(f"features: {path} ({features[tag].dim} columns, {len(features[tag])} rows)")
+    fs = ensure_features(cfg, model, {tag: ds}, args.mode, out)[tag]
+    path = _artifact(cfg, out, f"features-{args.mode}-{tag}", "csv")
+    print(f"features: {path} ({fs.dim} columns, {len(fs)} rows)")
     return 0
 
 
@@ -255,10 +261,9 @@ def cmd_detect(args) -> int:
     tag = anomalous.tags[0] or "anomalous"
     seed = child_seed(cfg.master_seed, f"detect:{tag}")
     _, scored, metrics = detect_and_report(cfg, normal, anomalous, seed)
-    scores_path = out / f"scores-{tag}-detect-{cfg.digest()}.csv"
-    detector.save_scores_csv(scored, scores_path)
+    detector.save_scores_csv(scored, _artifact(cfg, out, f"scores-{tag}-detect", "csv"))
     rows = [_report_row(tag, "detector", scored, metrics)]
-    write_report(cfg, rows, out)
+    write_report(cfg, rows, out, f"report-{tag}-detect")
     print(report_table_text(cfg, rows))
     return 0
 
@@ -267,7 +272,7 @@ def cmd_run_experiment(args) -> int:
     cfg, out = _setup(args)
     rows = run_experiment(cfg, out)
     print(report_table_text(cfg, rows))
-    print(f"report: {out / f'report-{cfg.digest()}.kv'}")
+    print(f"report: {_artifact(cfg, out, 'report', 'kv')}")
     return 0
 
 
@@ -293,7 +298,7 @@ def cmd_compare_norms(args) -> int:
                 lines.append(f"{tag:<22}{mn:>12.4g}{q1:>12.4g}{med:>12.4g}{q3:>12.4g}{mx:>12.4g}")
             lines.append("")
     text = "\n".join(lines)
-    with storage.atomic_open(out / f"norms-{cfg.digest()}.txt") as fh:
+    with storage.atomic_open(_artifact(cfg, out, "norms", "txt")) as fh:
         fh.write(text + "\n")
     print(text)
     return 0
@@ -320,7 +325,7 @@ def main(argv=None) -> int:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="a .gdata file")
-    p.add_argument("--mode", choices=gradfeat.FEATURE_MODES)
+    p.add_argument("--mode", choices=gradfeat.FEATURE_MODES, default="gradient")
 
     p = sub.add_parser("detect", help="train a detector from two feature CSVs")
     common(p)

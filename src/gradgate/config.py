@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 from .attacks import ATTACK_KINDS, AttackConfig
 from .data import OOD_KINDS
-from .gradfeat import FEATURE_MODES, ConfoundingLabel, make_confounding_label
+from .gradfeat import ConfoundingLabel, make_confounding_label
 from .nn import ArchSpec, TrainConfig, mlp, small_cnn
 
 
@@ -62,7 +63,6 @@ class ExperimentConfig:
     ood_count: int = 600
 
     # features
-    feature_mode: str = "gradient"        # gradient | activation
     confounding_kind: str = "all-ones"
     confounding_k: int = 2
 
@@ -82,32 +82,38 @@ class ExperimentConfig:
         "attacks": ("attack_kinds", "epsilon", "alpha", "iterations", "cw_c",
                     "cw_iterations", "cw_lr", "attack_count"),
         "ood": ("ood_kinds", "ood_count"),
-        "features": ("feature_mode", "confounding_kind", "confounding_k"),
+        "features": ("confounding_kind", "confounding_k"),
         "detector": ("hidden", "detector_epochs", "detector_patience",
                      "detector_learning_rate", "detector_batch_size"),
     }
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.dataset_kind not in ("glyphs", "idx"):
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.idx_images and self.idx_labels):
             raise ValueError("idx dataset needs idx_images and idx_labels paths")
         if not 0 < self.train_fraction + self.val_fraction < 1:
             raise ValueError("train and val fractions must leave room for a test split")
-        for kind in self.attack_kinds:
-            if kind not in ATTACK_KINDS:
-                raise ValueError(f"unknown attack kind {kind!r}")
         for kind in self.ood_kinds:
             if kind not in OOD_KINDS:
                 raise ValueError(f"unknown OOD kind {kind!r}")
-        if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"unknown feature mode {self.feature_mode!r}")
         for key, low in _MINIMUMS.items():
             value = getattr(self, key)
-            if not value >= low:  # NaN fails too
+            if not value >= low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
-        # raises on a malformed arch string, an unknown label kind, or a
-        # k-hot k outside [2, num_classes]
+        if not self.detector_learning_rate > 0:
+            raise ValueError(f"detector_learning_rate must be > 0, "
+                             f"got {self.detector_learning_rate}")
+        # each stage's own config checks its keys: these raise on a bad
+        # training or attack value, a malformed arch string, an unknown
+        # attack or label kind, or a k-hot k outside [2, num_classes]
+        self.train_config()
+        for kind in self.attack_kinds:
+            self.attack_config(kind)
         self.confounding_label(self.arch_spec().num_classes)
         return self
 
@@ -184,16 +190,15 @@ class ExperimentConfig:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:12]
 
 
-# Lowest valid value of each numeric key that can be out of range.
+# Lowest valid value of each integer key no stage config checks.
 _MINIMUMS = {
     "dataset_count": 1,
     "ood_count": 1,          # gen_ood needs at least one sample
     "attack_count": 0,       # 0 = whole test split
-    "epsilon": 0.0,
-    "cw_iterations": 1,
     "hidden": 1,
     "detector_epochs": 1,
     "detector_patience": 1,
+    "detector_batch_size": 1,
 }
 
 

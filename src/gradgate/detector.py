@@ -18,6 +18,7 @@ from . import storage
 from .autodiff import Tensor, backward, bce_with_logits, matmul, relu, sgd_step, stable_sigmoid
 from .data import stratify
 from .gradfeat import FeatureSet, concat_features
+from .nn import FORWARD_BLOCK
 
 
 @dataclass
@@ -128,11 +129,11 @@ def evaluate(scored: ScoredSamples, threshold: float = 0.5) -> dict:
 # max-softmax baseline
 # ---------------------------------------------------------------------------
 
-def msp_scores(model, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def msp_scores(model, images: np.ndarray) -> np.ndarray:
     """One minus the maximum softmax probability; higher means more anomalous."""
     out = np.empty(len(images))
-    for start in range(0, len(images), batch_size):
-        logits = model.logits(images[start:start + batch_size])
+    for start in range(0, len(images), FORWARD_BLOCK):
+        logits = model.logits(images[start:start + FORWARD_BLOCK])
         shifted = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)

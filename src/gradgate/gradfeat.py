@@ -24,6 +24,7 @@ import numpy as np
 
 from . import storage
 from .autodiff import Tensor, as_tensor, backward, bce_with_logits
+from .nn import FORWARD_BLOCK
 
 UNLABELED = -1
 # Samples per batched backward pass. Larger chunks run faster (on one core,
@@ -187,14 +188,13 @@ def _per_sample_sq_norms(tap, g: np.ndarray):
     return (tap.inputs * tap.inputs).sum(axis=1) * g2, g2
 
 
-def extract_activation_features(model, images: np.ndarray, source_tag: str = "",
-                                batch_size: int = 256) -> FeatureSet:
+def extract_activation_features(model, images: np.ndarray, source_tag: str = "") -> FeatureSet:
     """Per-layer L2 norms of the post-nonlinearity outputs (forward only)."""
     n = len(images)
     frozen = model.frozen()
     chunks = []
-    for start in range(0, n, batch_size):
-        _, acts = frozen.forward(images[start:start + batch_size])
+    for start in range(0, n, FORWARD_BLOCK):
+        _, acts = frozen.forward(images[start:start + FORWARD_BLOCK])
         per_layer = [np.sqrt((a.data.reshape(len(a.data), -1) ** 2).sum(axis=1)) for a in acts]
         chunks.append(np.stack(per_layer, axis=1))
     values = np.concatenate(chunks)

@@ -29,6 +29,10 @@ from .autodiff import (
 
 CHECKPOINT_MAGIC = b"GGATE"
 
+# Samples per forward pass in the forward-only loops over a whole set:
+# nn.accuracy, detector.msp_scores and gradfeat.extract_activation_features.
+FORWARD_BLOCK = 256
+
 _ACTIVATIONS = ("relu", "none")
 
 
@@ -313,12 +317,11 @@ def build_classifier(arch: ArchSpec, seed: int) -> Classifier:
     return Classifier(arch, params, seed=seed)
 
 
-def accuracy(model: Classifier, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 256) -> float:
+def accuracy(model: Classifier, images: np.ndarray, labels: np.ndarray) -> float:
     hits = 0
-    for start in range(0, len(labels), batch_size):
-        pred = model.predict(images[start:start + batch_size])
-        hits += int((pred == labels[start:start + batch_size]).sum())
+    for start in range(0, len(labels), FORWARD_BLOCK):
+        pred = model.predict(images[start:start + FORWARD_BLOCK])
+        hits += int((pred == labels[start:start + FORWARD_BLOCK]).sum())
     return hits / len(labels)
 
 

@@ -217,6 +217,10 @@ class TestConfigAndDispatch:
             AttackConfig(kind="bim", alpha=0.0)
         with pytest.raises(ValueError):
             AttackConfig(kind="cw", cw_c=0.0)
+        with pytest.raises(ValueError):
+            AttackConfig(kind="cw", cw_lr=0.0)
+        with pytest.raises(ValueError):
+            AttackConfig(kind="fgsm", alpha=0.0)
 
     def test_dispatch_matches_direct_call(self, tiny_model, batch):
         x, y = batch

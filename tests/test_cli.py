@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gradgate.gradfeat import load_features_csv, save_features_csv
 from gradgate.nn import build_classifier, load_checkpoint, small_cnn
 from gradgate.storage import fmt_float
 
+ROOT = Path(__file__).resolve().parents[1]
 CONFIG_TEMPLATE = """
 [experiment]
 out_dir = {out}
@@ -79,7 +82,11 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("dataset_count", 0), ("ood_count", -5), ("ood_count", 0), ("attack_count", -1),
         ("epsilon", -1.0), ("epsilon", float("nan")), ("hidden", 0),
-        ("detector_patience", 0), ("detector_epochs", 0), ("cw_iterations", 0)])
+        ("detector_patience", 0), ("detector_epochs", 0), ("cw_iterations", 0),
+        ("alpha", 0.0), ("cw_c", 0.0), ("iterations", 0), ("cw_lr", float("nan")), ("cw_lr", 0.0),
+        ("cw_c", float("inf")), ("train_fraction", float("nan")), ("epochs", -1),
+        ("learning_rate", 0.0), ("momentum", 1.0), ("detector_batch_size", 0),
+        ("detector_learning_rate", 0.0), ("detector_learning_rate", float("inf"))])
     def test_out_of_range_value_rejected(self, tiny_config, key, value):
         path, _ = tiny_config
         with pytest.raises(ValueError, match=key):
@@ -98,9 +105,15 @@ class TestConfig:
         path, _ = tiny_config
         floors = {"dataset_count": 1, "ood_count": 1, "attack_count": 0, "epsilon": 0.0,
                   "hidden": 1, "detector_patience": 1, "detector_epochs": 1,
-                  "cw_iterations": 1}
+                  "cw_iterations": 1, "iterations": 1, "detector_batch_size": 1}
         cfg = ExperimentConfig.from_file(path, overrides=floors)
         assert all(getattr(cfg, key) == value for key, value in floors.items())
+
+    def test_default_ini_matches_built_in_defaults(self):
+        # every workload of the benchmark loads this file
+        cfg = ExperimentConfig.from_file(ROOT / "configs" / "default.ini")
+        assert cfg.resolved_text() == ExperimentConfig().resolved_text()
+        assert cfg.digest() == ExperimentConfig().digest()
 
 
 class TestTrainCommand:
@@ -146,6 +159,30 @@ class TestGenAnomalies:
         adv = load_dataset(out / f"adv-fgsm-{cfg.digest()}.gdata")
         assert len(adv) == 40
 
+    def test_test_split_built_once_and_only_when_a_set_needs_it(self, tiny_config,
+                                                                monkeypatch):
+        path, out = tiny_config
+        cli.main(["train-classifier", "--config", str(path)])
+        cfg = ExperimentConfig.from_file(path)
+        model = load_checkpoint(out / f"classifier-{cfg.digest()}.ggate")
+        first = cli.ensure_anomalies(cfg, model, out)
+        calls = []
+        make_splits = cli.make_splits
+        monkeypatch.setattr(cli, "make_splits", lambda c: calls.append(c) or make_splits(c))
+
+        (out / f"ood-uniform-noise-{cfg.digest()}.gdata").unlink()
+        cli.ensure_anomalies(cfg, model, out)
+        assert calls == []  # an OOD set takes its shape from the model
+        for tag in ("clean-test", "adv-fgsm", "adv-semantic"):
+            (out / f"{tag}-{cfg.digest()}.gdata").unlink()
+        again = cli.ensure_anomalies(cfg, model, out)
+        assert len(calls) == 1
+        assert list(again) == list(first)
+        for tag, ds in again.items():
+            assert ds.source_tag == tag
+            assert ds.images.tobytes() == first[tag].images.tobytes()
+            assert ds.labels.tobytes() == first[tag].labels.tobytes()
+
     def test_budget_gate_rejects_violations(self):
         bad = AttackResult("fgsm", np.full((1, 1, 2, 2), 0.5),
                            np.array([True]), np.array([0.2]), np.array([0.4]))
@@ -177,6 +214,14 @@ class TestExtractAndDetect:
         fs = load_features_csv(out / f"features-gradient-clean-test-{cfg.digest()}.csv")
         assert fs.dim == 8
 
+    def test_mode_defaults_to_gradient(self, pipeline):
+        path, out, cfg, ckpt = pipeline
+        ds = out / f"clean-test-{cfg.digest()}.gdata"
+        assert cli.main(["extract-features", "--config", str(path), "--checkpoint",
+                         str(ckpt), "--dataset", str(ds)]) == 0
+        assert [p.name for p in out.glob("features-*.csv")] == [
+            f"features-gradient-clean-test-{cfg.digest()}.csv"]
+
     def test_activation_mode_has_layer_count_columns(self, pipeline):
         path, out, cfg, ckpt = pipeline
         ds = out / f"clean-test-{cfg.digest()}.gdata"
@@ -206,7 +251,7 @@ class TestExtractAndDetect:
         anom = out / f"features-gradient-adv-semantic-{cfg.digest()}.csv"
         assert cli.main(["detect", "--config", str(path), "--normal", str(normal),
                          "--anomalous", str(anom)]) == 0
-        report = (out / f"report-{cfg.digest()}.kv").read_text()
+        report = (out / f"report-adv-semantic-detect-{cfg.digest()}.kv").read_text()
         for metric in ("accuracy", "auroc", "aupr"):
             line = [l for l in report.splitlines() if metric in l][0]
             value = float(line.split("=")[1])
@@ -281,6 +326,37 @@ class TestRunExperiment:
         a = (out / f"report-{cfg.digest()}.kv").read_bytes()
         b = (other / f"report-{cfg2.digest()}.kv").read_bytes()
         assert a == b
+
+    def test_deleting_one_set_regenerates_only_that_set(self, tiny_config):
+        path, out = tiny_config
+        cli.main(["run-experiment", "--config", str(path)])
+        cfg = ExperimentConfig.from_file(path)
+        victim = out / f"ood-uniform-noise-{cfg.digest()}.gdata"
+        before = {p: (p.stat().st_mtime_ns, p.read_bytes())
+                  for p in [*out.glob("*.gdata"), *out.glob("*.ggate")]}
+        assert len(before) == 5
+        victim.unlink()
+        assert cli.main(["run-experiment", "--config", str(path)]) == 0
+        for p, (stamp, blob) in before.items():
+            assert p.read_bytes() == blob
+            assert (p.stat().st_mtime_ns == stamp) == (p != victim), p.name
+
+    def test_detect_keeps_the_run_report(self, tiny_config):
+        path, out = tiny_config
+        cli.main(["run-experiment", "--config", str(path)])
+        cfg = ExperimentConfig.from_file(path)
+        run_report = {s: (out / f"report-{cfg.digest()}.{s}").read_bytes() for s in ("kv", "txt")}
+        features = {tag: out / f"features-gradient-{tag}-{cfg.digest()}.csv"
+                    for tag in ("clean-test", "adv-fgsm")}
+        assert cli.main(["detect", "--config", str(path), "--normal",
+                         str(features["clean-test"]), "--anomalous",
+                         str(features["adv-fgsm"])]) == 0
+        for suffix, blob in run_report.items():
+            assert (out / f"report-{cfg.digest()}.{suffix}").read_bytes() == blob
+        detect = (out / f"report-adv-fgsm-detect-{cfg.digest()}.kv").read_text()
+        assert "row.adv-fgsm.detector.auroc=" in detect
+        assert (out / f"report-adv-fgsm-detect-{cfg.digest()}.txt").exists()
+        assert (out / f"scores-adv-fgsm-detect-{cfg.digest()}.csv").exists()
 
 
 class TestCompareNorms:
