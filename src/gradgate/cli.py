@@ -4,7 +4,9 @@ detect, and report.
 Artifacts are named by the resolved config digest, so every command is
 idempotent: reruns with unchanged inputs reuse what is already on disk.
 Each artifact is loaded or made on its own, so a missing file costs only
-the work that makes it.
+the work that makes it. Every command takes its inputs from the config
+alone and runs the ``ensure_*`` chain of ``run_experiment`` up to its own
+stage, so a digest only ever names what that config makes.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
         for method, scored, metrics in results:
             detector.save_scores_csv(scored, _artifact(cfg, out, f"scores-{tag}-{method}", "csv"))
             rows.append(_report_row(tag, method, scored, metrics))
-    write_report(cfg, rows, out, "report")
+    write_report(cfg, rows, out)
     return rows
 
 
@@ -197,10 +199,10 @@ def report_table_text(cfg: ExperimentConfig, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(cfg: ExperimentConfig, rows, out: Path, stem: str) -> None:
-    """Write ``<stem>-<digest>.kv`` and ``<stem>-<digest>.txt``."""
+def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
+    """Write ``report-<digest>.kv`` and ``report-<digest>.txt``."""
     for suffix, render in (("kv", report_kv_text), ("txt", report_table_text)):
-        with storage.atomic_open(_artifact(cfg, out, stem, suffix)) as fh:
+        with storage.atomic_open(_artifact(cfg, out, "report", suffix)) as fh:
             fh.write(render(cfg, rows))
 
 
@@ -211,12 +213,8 @@ def write_report(cfg: ExperimentConfig, rows, out: Path, stem: str) -> None:
 def _setup(args):
     """Load the config with the command-line overrides and create its output
     directory; returns (config, output directory)."""
-    overrides = {}
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    cfg = ExperimentConfig.from_file(args.config, overrides)
+    cfg = ExperimentConfig.from_file(args.config,
+                                     {"out_dir": args.out, "master_seed": args.seed})
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -230,10 +228,15 @@ def cmd_train_classifier(args) -> int:
     return 0
 
 
+def _sets(cfg: ExperimentConfig, out: Path):
+    """The classifier and every set of the run, each loaded or made."""
+    model, _ = ensure_classifier(cfg, out)
+    return model, ensure_anomalies(cfg, model, out)
+
+
 def cmd_gen_anomalies(args) -> int:
     cfg, out = _setup(args)
-    model = nn.load_checkpoint(args.checkpoint)
-    sets = ensure_anomalies(cfg, model, out)
+    _, sets = _sets(cfg, out)
     for tag, ds in sets.items():
         print(f"{tag}: {len(ds)} samples")
     return 0
@@ -241,30 +244,10 @@ def cmd_gen_anomalies(args) -> int:
 
 def cmd_extract_features(args) -> int:
     cfg, out = _setup(args)
-    model = nn.load_checkpoint(args.checkpoint)
-    ds = data.load_dataset(args.dataset)
-    tag = ds.source_tag or Path(args.dataset).stem
-    fs = ensure_features(cfg, model, {tag: ds}, args.mode, out)[tag]
-    path = _artifact(cfg, out, f"features-{args.mode}-{tag}", "csv")
-    print(f"features: {path} ({fs.dim} columns, {len(fs)} rows)")
-    return 0
-
-
-def cmd_detect(args) -> int:
-    cfg, out = _setup(args)
-    normal = gradfeat.load_features_csv(args.normal)
-    anomalous = gradfeat.load_features_csv(args.anomalous)
-    if len(anomalous) == 0:
-        raise PipelineError(f"anomalous feature file {args.anomalous} is empty")
-    if len(normal) == 0:
-        raise PipelineError(f"normal feature file {args.normal} is empty")
-    tag = anomalous.tags[0] or "anomalous"
-    seed = child_seed(cfg.master_seed, f"detect:{tag}")
-    _, scored, metrics = detect_and_report(cfg, normal, anomalous, seed)
-    detector.save_scores_csv(scored, _artifact(cfg, out, f"scores-{tag}-detect", "csv"))
-    rows = [_report_row(tag, "detector", scored, metrics)]
-    write_report(cfg, rows, out, f"report-{tag}-detect")
-    print(report_table_text(cfg, rows))
+    model, sets = _sets(cfg, out)
+    for mode in gradfeat.FEATURE_MODES:
+        for tag, fs in ensure_features(cfg, model, sets, mode, out).items():
+            print(f"{mode} {tag}: {fs.dim} columns, {len(fs)} rows")
     return 0
 
 
@@ -278,15 +261,12 @@ def cmd_run_experiment(args) -> int:
 
 def cmd_compare_norms(args) -> int:
     cfg, out = _setup(args)
-    model = nn.load_checkpoint(args.checkpoint)
-    datasets = [data.load_dataset(p) for p in args.datasets.split(",")]
-    if any(len(ds) == 0 for ds in datasets):
-        raise PipelineError("compare-norms requires nonempty datasets")
+    model, sets = _sets(cfg, out)
     label = cfg.confounding_label(model.num_classes)
     lines = []
     for mode in gradfeat.FEATURE_MODES:
-        per_set = [gradfeat.extract_features(model, ds.images, mode, label, ds.source_tag)
-                   for ds in datasets]
+        per_set = [gradfeat.extract_features(model, ds.images, mode, label, tag)
+                   for tag, ds in sets.items()]
         merged = gradfeat.concat_features(per_set)
         summary = gradfeat.norm_summary(merged.values, merged.tags)
         names = per_set[0].feature_names
@@ -304,52 +284,30 @@ def cmd_compare_norms(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "train-classifier": (cmd_train_classifier, "train and checkpoint the classifier"),
+    "gen-anomalies": (cmd_gen_anomalies, "generate the clean, adversarial and OOD sets"),
+    "extract-features": (cmd_extract_features, "extract both feature modes for every set"),
+    "run-experiment": (cmd_run_experiment, "run the full pipeline and report"),
+    "compare-norms": (cmd_compare_norms, "per-layer quartile table for every set"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gradgate",
         description="Gradient-feature anomaly detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (handler, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--seed", type=int, help="override the master seed")
-
-    common(sub.add_parser("train-classifier", help="train and checkpoint the classifier"))
-
-    p = sub.add_parser("gen-anomalies", help="generate adversarial and OOD sets")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-
-    p = sub.add_parser("extract-features", help="extract features for one dataset")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True, help="a .gdata file")
-    p.add_argument("--mode", choices=gradfeat.FEATURE_MODES, default="gradient")
-
-    p = sub.add_parser("detect", help="train a detector from two feature CSVs")
-    common(p)
-    p.add_argument("--normal", required=True)
-    p.add_argument("--anomalous", required=True)
-
-    common(sub.add_parser("run-experiment", help="run the full pipeline and report"))
-
-    p = sub.add_parser("compare-norms", help="per-layer quartile table per source")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--datasets", required=True, help="comma-separated .gdata files")
+        p.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
-    handlers = {
-        "train-classifier": cmd_train_classifier,
-        "gen-anomalies": cmd_gen_anomalies,
-        "extract-features": cmd_extract_features,
-        "detect": cmd_detect,
-        "run-experiment": cmd_run_experiment,
-        "compare-norms": cmd_compare_norms,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except Exception as exc:  # surface a one-line error and a failing exit code
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -161,23 +161,27 @@ class ExperimentConfig:
                 if key not in cls._SECTIONS[section]:
                     raise ValueError(f"unknown key {key!r} in section [{section}]")
                 kwargs[key] = _coerce(known[key].default, raw)
-        cfg = cls(**kwargs)
         for key, value in (overrides or {}).items():
+            if key not in known:
+                raise ValueError(f"unknown key {key!r} in overrides")
             if value is not None:
-                setattr(cfg, key, value)
-        return cfg.validate()
+                kwargs[key] = value
+        return cls(**kwargs).validate()
 
     def resolved_text(self) -> str:
         """Canonical key=value rendering used for digests and provenance.
 
         out_dir is excluded: where artifacts live must not change their
         identity, so reruns in another directory still hit the same names.
+        confounding_k is excluded unless the label is k-hot, the only kind
+        that reads it, so editing it elsewhere reruns nothing.
         """
         lines = []
         for section, keys in self._SECTIONS.items():
             lines.append(f"[{section}]")
             for key in keys:
-                if key == "out_dir":
+                if key == "out_dir" or (key == "confounding_k"
+                                        and self.confounding_kind != "k-hot"):
                     continue
                 value = getattr(self, key)
                 if isinstance(value, tuple):

@@ -7,7 +7,7 @@ from gradgate import cli, storage
 from gradgate.attacks import AttackConfig, AttackResult
 from gradgate.config import ExperimentConfig, child_seed
 from gradgate import gradfeat
-from gradgate.data import gen_glyphs, load_dataset, save_dataset
+from gradgate.data import gen_glyphs, load_dataset
 from gradgate.gradfeat import load_features_csv, save_features_csv
 from gradgate.nn import build_classifier, load_checkpoint, small_cnn
 from gradgate.storage import fmt_float
@@ -115,6 +115,21 @@ class TestConfig:
         assert cfg.resolved_text() == ExperimentConfig().resolved_text()
         assert cfg.digest() == ExperimentConfig().digest()
 
+    def test_confounding_k_enters_the_digest_only_under_k_hot(self, tiny_config):
+        path, _ = tiny_config
+
+        def digest(kind, k):
+            return ExperimentConfig.from_file(
+                path, {"confounding_kind": kind, "confounding_k": k}).digest()
+
+        assert digest("all-ones", 2) == digest("all-ones", 3) == digest("all-ones", 0)
+        assert digest("k-hot", 2) != digest("k-hot", 3)
+
+    def test_unknown_override_key_rejected(self, tiny_config):
+        path, _ = tiny_config
+        with pytest.raises(ValueError, match="unknown key 'atack_count'"):
+            ExperimentConfig.from_file(path, {"atack_count": 5})
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_reloads(self, tiny_config):
@@ -147,11 +162,9 @@ class TestTrainCommand:
 class TestGenAnomalies:
     def test_one_file_per_source(self, tiny_config):
         path, out = tiny_config
-        cli.main(["train-classifier", "--config", str(path)])
+        assert cli.main(["gen-anomalies", "--config", str(path)]) == 0
         cfg = ExperimentConfig.from_file(path)
-        ckpt = out / f"classifier-{cfg.digest()}.ggate"
-        assert cli.main(["gen-anomalies", "--config", str(path),
-                         "--checkpoint", str(ckpt)]) == 0
+        assert (out / f"classifier-{cfg.digest()}.ggate").exists()
         for tag in ("clean-test", "adv-fgsm", "adv-semantic", "ood-uniform-noise"):
             assert (out / f"{tag}-{cfg.digest()}.gdata").exists()
         ood = load_dataset(out / f"ood-uniform-noise-{cfg.digest()}.gdata")
@@ -197,76 +210,35 @@ class TestGenAnomalies:
 
 
 class TestExtractAndDetect:
+    TAGS = ("clean-test", "adv-fgsm", "adv-semantic", "ood-uniform-noise")
+
     @pytest.fixture
     def pipeline(self, tiny_config):
         path, out = tiny_config
-        cli.main(["train-classifier", "--config", str(path)])
-        cfg = ExperimentConfig.from_file(path)
-        ckpt = out / f"classifier-{cfg.digest()}.ggate"
-        cli.main(["gen-anomalies", "--config", str(path), "--checkpoint", str(ckpt)])
-        return path, out, cfg, ckpt
+        assert cli.main(["extract-features", "--config", str(path)]) == 0
+        return out, ExperimentConfig.from_file(path)
 
     def test_gradient_mode_has_eight_columns(self, pipeline):
-        path, out, cfg, ckpt = pipeline
-        ds = out / f"clean-test-{cfg.digest()}.gdata"
-        assert cli.main(["extract-features", "--config", str(path), "--checkpoint",
-                         str(ckpt), "--dataset", str(ds), "--mode", "gradient"]) == 0
-        fs = load_features_csv(out / f"features-gradient-clean-test-{cfg.digest()}.csv")
-        assert fs.dim == 8
-
-    def test_mode_defaults_to_gradient(self, pipeline):
-        path, out, cfg, ckpt = pipeline
-        ds = out / f"clean-test-{cfg.digest()}.gdata"
-        assert cli.main(["extract-features", "--config", str(path), "--checkpoint",
-                         str(ckpt), "--dataset", str(ds)]) == 0
-        assert [p.name for p in out.glob("features-*.csv")] == [
-            f"features-gradient-clean-test-{cfg.digest()}.csv"]
+        out, cfg = pipeline
+        for tag in self.TAGS:
+            fs = load_features_csv(out / f"features-gradient-{tag}-{cfg.digest()}.csv")
+            assert fs.dim == 8
+            assert len(fs) == 40
 
     def test_activation_mode_has_layer_count_columns(self, pipeline):
-        path, out, cfg, ckpt = pipeline
-        ds = out / f"clean-test-{cfg.digest()}.gdata"
-        cli.main(["extract-features", "--config", str(path), "--checkpoint", str(ckpt),
-                  "--dataset", str(ds), "--mode", "activation"])
-        fs = load_features_csv(out / f"features-activation-clean-test-{cfg.digest()}.csv")
-        assert fs.dim == 4
+        out, cfg = pipeline
+        for tag in self.TAGS:
+            fs = load_features_csv(out / f"features-activation-{tag}-{cfg.digest()}.csv")
+            assert fs.dim == 4
 
     def test_feature_csv_round_trip_byte_equal(self, pipeline, tmp_path):
-        path, out, cfg, ckpt = pipeline
-        ds = out / f"clean-test-{cfg.digest()}.gdata"
-        cli.main(["extract-features", "--config", str(path), "--checkpoint", str(ckpt),
-                  "--dataset", str(ds), "--mode", "gradient"])
-        csv_path = out / f"features-gradient-clean-test-{cfg.digest()}.csv"
-        fs = load_features_csv(csv_path)
-        again = tmp_path / "again.csv"
-        save_features_csv(fs, again)
-        assert csv_path.read_bytes() == again.read_bytes()
-
-    def test_detect_reports_metrics(self, pipeline):
-        path, out, cfg, ckpt = pipeline
-        for tag in ("clean-test", "adv-semantic"):
-            cli.main(["extract-features", "--config", str(path), "--checkpoint",
-                      str(ckpt), "--dataset", str(out / f"{tag}-{cfg.digest()}.gdata"),
-                      "--mode", "gradient"])
-        normal = out / f"features-gradient-clean-test-{cfg.digest()}.csv"
-        anom = out / f"features-gradient-adv-semantic-{cfg.digest()}.csv"
-        assert cli.main(["detect", "--config", str(path), "--normal", str(normal),
-                         "--anomalous", str(anom)]) == 0
-        report = (out / f"report-adv-semantic-detect-{cfg.digest()}.kv").read_text()
-        for metric in ("accuracy", "auroc", "aupr"):
-            line = [l for l in report.splitlines() if metric in l][0]
-            value = float(line.split("=")[1])
-            assert 0.0 <= value <= 1.0
-
-    def test_detect_rejects_empty_anomalous(self, pipeline, tmp_path):
-        path, out, cfg, ckpt = pipeline
-        cli.main(["extract-features", "--config", str(path), "--checkpoint", str(ckpt),
-                  "--dataset", str(out / f"clean-test-{cfg.digest()}.gdata"),
-                  "--mode", "gradient"])
-        normal = out / f"features-gradient-clean-test-{cfg.digest()}.csv"
-        empty = tmp_path / "empty.csv"
-        empty.write_text("sample_id,anomaly_label,source_tag,f0\n")
-        assert cli.main(["detect", "--config", str(path), "--normal", str(normal),
-                         "--anomalous", str(empty)]) == 1
+        out, _ = pipeline
+        paths = sorted(out.glob("features-*.csv"))
+        assert len(paths) == 2 * len(self.TAGS)  # both modes for every set
+        for csv_path in paths:
+            again = tmp_path / "again.csv"
+            save_features_csv(load_features_csv(csv_path), again)
+            assert csv_path.read_bytes() == again.read_bytes(), csv_path.name
 
 
 class TestFeatureCache:
@@ -301,9 +273,11 @@ class TestRunExperiment:
         assert cli.main(["run-experiment", "--config", str(path)]) == 0
         cfg = ExperimentConfig.from_file(path)
         report = (out / f"report-{cfg.digest()}.kv").read_text()
+        kv = dict(line.split("=", 1) for line in report.splitlines())
         for source in ("adv-fgsm", "adv-semantic", "ood-uniform-noise"):
             for method in ("gradient", "activation", "msp"):
-                assert f"row.{source}.{method}.auroc=" in report
+                for metric in ("accuracy", "auroc", "aupr"):
+                    assert 0.0 <= float(kv[f"row.{source}.{method}.{metric}"]) <= 1.0
         assert (out / f"report-{cfg.digest()}.txt").exists()
 
     def test_second_run_reuses_artifacts(self, tiny_config):
@@ -341,59 +315,49 @@ class TestRunExperiment:
             assert p.read_bytes() == blob
             assert (p.stat().st_mtime_ns == stamp) == (p != victim), p.name
 
-    def test_detect_keeps_the_run_report(self, tiny_config):
+    def test_stage_commands_make_the_run_experiment_artifacts(self, tiny_config, tmp_path):
         path, out = tiny_config
-        cli.main(["run-experiment", "--config", str(path)])
-        cfg = ExperimentConfig.from_file(path)
-        run_report = {s: (out / f"report-{cfg.digest()}.{s}").read_bytes() for s in ("kv", "txt")}
-        features = {tag: out / f"features-gradient-{tag}-{cfg.digest()}.csv"
-                    for tag in ("clean-test", "adv-fgsm")}
-        assert cli.main(["detect", "--config", str(path), "--normal",
-                         str(features["clean-test"]), "--anomalous",
-                         str(features["adv-fgsm"])]) == 0
-        for suffix, blob in run_report.items():
-            assert (out / f"report-{cfg.digest()}.{suffix}").read_bytes() == blob
-        detect = (out / f"report-adv-fgsm-detect-{cfg.digest()}.kv").read_text()
-        assert "row.adv-fgsm.detector.auroc=" in detect
-        assert (out / f"report-adv-fgsm-detect-{cfg.digest()}.txt").exists()
-        assert (out / f"scores-adv-fgsm-detect-{cfg.digest()}.csv").exists()
+        for command in ("train-classifier", "gen-anomalies", "extract-features"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        staged = {p: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert len(staged) == 14  # checkpoint, history, 4 sets, 2 x 4 feature CSVs
+        assert cli.main(["run-experiment", "--config", str(path)]) == 0
+        for p, stamp in staged.items():
+            assert p.stat().st_mtime_ns == stamp, p.name
+        fresh = tmp_path / "fresh"
+        assert cli.main(["run-experiment", "--config", str(path), "--out", str(fresh)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for p in fresh.iterdir():
+            assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_commands_take_no_input_paths(self, tiny_config):
+        path, _ = tiny_config
+        for command in ("train-classifier", "gen-anomalies", "extract-features",
+                        "run-experiment", "compare-norms"):
+            for flag in ("--checkpoint", "--dataset", "--datasets", "--mode"):
+                with pytest.raises(SystemExit):
+                    cli.main([command, "--config", str(path), flag, "x"])
+        with pytest.raises(SystemExit):  # its one row is in report-<digest>.kv
+            cli.main(["detect", "--config", str(path)])
 
 
 class TestCompareNorms:
     def test_blocks_per_layer_per_mode(self, tiny_config):
         path, out = tiny_config
-        cli.main(["train-classifier", "--config", str(path)])
+        assert cli.main(["compare-norms", "--config", str(path)]) == 0
         cfg = ExperimentConfig.from_file(path)
-        ckpt = out / f"classifier-{cfg.digest()}.ggate"
-        cli.main(["gen-anomalies", "--config", str(path), "--checkpoint", str(ckpt)])
-        datasets = ",".join(str(out / f"{t}-{cfg.digest()}.gdata")
-                            for t in ("clean-test", "adv-fgsm"))
-        assert cli.main(["compare-norms", "--config", str(path), "--checkpoint",
-                         str(ckpt), "--datasets", datasets]) == 0
-        text = (out / f"norms-{cfg.digest()}.txt").read_text()
-        assert text.count("== gradient /") == 8   # one block per parameter set
-        assert text.count("== activation /") == 4  # one block per layer
-        assert "clean-test" in text and "adv-fgsm" in text
-
-    def test_empty_dataset_list_fails(self, tiny_config):
-        path, out = tiny_config
-        cli.main(["train-classifier", "--config", str(path)])
-        cfg = ExperimentConfig.from_file(path)
-        ckpt = out / f"classifier-{cfg.digest()}.ggate"
-        assert cli.main(["compare-norms", "--config", str(path), "--checkpoint",
-                         str(ckpt), "--datasets", str(out / "missing.gdata")]) == 1
+        lines = (out / f"norms-{cfg.digest()}.txt").read_text().splitlines()
+        blocks = [l for l in lines if l.startswith("== ")]
+        assert sum(l.startswith("== gradient /") for l in blocks) == 8   # per parameter set
+        assert sum(l.startswith("== activation /") for l in blocks) == 4  # per layer
+        for tag in ("clean-test", "adv-fgsm", "adv-semantic", "ood-uniform-noise"):
+            assert sum(l.split()[0] == tag for l in lines if l) == len(blocks)
 
     def test_k_hot_uses_the_pipeline_label(self, tiny_config, monkeypatch):
         path, out = tiny_config
         path.write_text(path.read_text() + "\n[features]\nconfounding_kind = k-hot\n"
                         "confounding_k = 3\n")
-        cli.main(["train-classifier", "--config", str(path)])
         cfg = ExperimentConfig.from_file(path)
-        ckpt = out / f"classifier-{cfg.digest()}.ggate"
-        ds = gen_glyphs(4, seed=1)
-        ds.source_tag = "probe"
-        save_dataset(ds, out / "probe.gdata")
-
         labels = []
         extract = gradfeat.extract_gradient_features
 
@@ -402,9 +366,12 @@ class TestCompareNorms:
             return extract(model, images, label, source_tag)
 
         monkeypatch.setattr(gradfeat, "extract_gradient_features", spy)
-        assert cli.main(["compare-norms", "--config", str(path), "--checkpoint",
-                         str(ckpt), "--datasets", str(out / "probe.gdata")]) == 0
-        cli.ensure_features(cfg, load_checkpoint(ckpt), {"probe": ds}, "gradient", out)
-        compare, pipeline = labels
-        assert compare.descriptor == pipeline.descriptor
-        assert np.array_equal(compare.vector, pipeline.vector)
+        assert cli.main(["compare-norms", "--config", str(path)]) == 0
+        assert len(labels) == 4  # one call per set of the run
+        model, _ = cli.ensure_classifier(cfg, out)
+        cli.ensure_features(cfg, model, {"probe": gen_glyphs(4, seed=1)}, "gradient", out)
+        *compare, pipeline = labels
+        assert pipeline.descriptor.startswith("k-hot-3-")
+        for label in compare:
+            assert label.descriptor == pipeline.descriptor
+            assert np.array_equal(label.vector, pipeline.vector)

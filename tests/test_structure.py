@@ -1,10 +1,15 @@
-"""Every public top-level name in the package is used by the package.
+"""Every public top-level name and every public method in the package is
+used by the package.
 
 A public name is a module-level function, class or constant whose name
 does not start with an underscore. It counts as used when some module under
 ``src/gradgate`` reads it as a bare name, as ``module.name`` on one of the
-package's modules, or imports it with ``from .module import name``. Code
-that only tests call is dead weight on the pipeline, so this fails on it.
+package's modules, or imports it with ``from .module import name``. A public
+method (properties included) is a function defined in a package class whose
+name does not start with an underscore; since a receiver's type is not known
+from the source, it counts as used when some module reads an attribute of
+that name. Code that only tests call is dead weight on the pipeline, so this
+fails on it.
 """
 
 import ast
@@ -50,4 +55,20 @@ def test_every_public_name_is_referenced_from_the_package():
     used = references(trees)
     unused = [f"{module}.{name}" for module, tree in trees.items()
               for name in public_definitions(tree) if name not in used]
+    assert unused == []
+
+
+def public_methods(tree: ast.Module) -> list:
+    return [(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def test_every_public_method_is_referenced_from_the_package():
+    trees = parse_package()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unused = [f"{module}.{cls}.{name}" for module, tree in trees.items()
+              for cls, name in public_methods(tree) if name not in read]
     assert unused == []
