@@ -3,8 +3,8 @@
 All attacks operate on raw pixels in [0, 1]; the model applies its frozen
 normalization inside the forward pass, so pixel gradients include the
 normalization Jacobian. Norm-bounded attacks track the accumulated
-perturbation directly, which keeps the L-infinity budget exact and makes
-bim with one step of size epsilon reproduce fgsm bit for bit.
+perturbation directly, which keeps the L-infinity budget exact; fgsm is
+bim with one step of size epsilon, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ def _finish(kind, model, x, y, adv, targets=None, epsilon=None) -> AttackResult:
 
 
 def fgsm(model, x: np.ndarray, y: np.ndarray, epsilon: float) -> AttackResult:
-    """Single signed-gradient ascent step on the true-label cross-entropy."""
+    """Single signed-gradient ascent step on the true-label cross-entropy:
+    bim with one step of size epsilon."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    g = _input_grad(model, x, y)
-    adv = np.clip(x + epsilon * np.sign(g), 0.0, 1.0)
+    adv = _iterate_signed(model, x, y, epsilon, epsilon, 1, np.zeros_like(x))
     return _finish("fgsm", model, x, y, adv, epsilon=epsilon)
 
 
@@ -132,8 +132,9 @@ def bim(model, x, y, epsilon, alpha, iterations) -> AttackResult:
 def pgd(model, x, y, epsilon, alpha, iterations, seed) -> AttackResult:
     """bim with a per-sample uniform random start inside the epsilon ball.
 
-    Per-sample seeds derive from (seed, sample index) so serial and
-    parallel generation agree.
+    Each sample's start is drawn from its own generator, seeded with
+    (seed, sample index), so the starts do not depend on how the samples
+    are blocked.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")

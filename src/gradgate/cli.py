@@ -107,16 +107,20 @@ def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
 
 
 def ensure_features(cfg: ExperimentConfig, model, sets: dict, mode: str, out: Path) -> dict:
-    """Extract (or reload) one feature CSV per anomaly source for a mode."""
+    """Extract (or reload) one feature CSV per anomaly source for a mode;
+    a cached CSV must hold one row per sample of its set."""
     label = cfg.confounding_label(model.num_classes)
     features = {}
     for tag, ds in sets.items():
         path = _artifact(cfg, out, f"features-{mode}-{tag}", "csv")
         if path.exists():
-            features[tag] = gradfeat.load_features_csv(path)
-            continue
-        fs = gradfeat.extract_features(model, ds.images, mode, label, tag)
-        gradfeat.save_features_csv(fs, path)
+            fs = gradfeat.load_features_csv(path)
+            if len(fs) != len(ds):
+                raise gradfeat.FeatureError(
+                    f"{path}: {len(fs)} rows for a set of {len(ds)} samples")
+        else:
+            fs = gradfeat.extract_features(model, ds.images, mode, label, tag)
+            gradfeat.save_features_csv(fs, path)
         features[tag] = fs
     return features
 
@@ -129,20 +133,14 @@ def detect_and_report(cfg: ExperimentConfig, normal, anomalous, seed: int):
         learning_rate=cfg.detector_learning_rate, batch_size=cfg.detector_batch_size,
         max_epochs=cfg.detector_epochs, patience=cfg.detector_patience)
     scored = detector.score(det, test)
-    return det, scored, detector.evaluate(scored)
+    return scored, detector.evaluate(scored)
 
 
-def msp_report(cfg: ExperimentConfig, model, clean_ds, anom_ds, seed: int):
+def msp_report(clean_scores, anom_scores, anom_tag: str, seed: int):
     """Baseline scores on the same 40/40/20 test partition the detectors use."""
-    def as_features(ds, tag):
-        scores = detector.msp_scores(model, ds.images)
-        n = len(scores)
-        return gradfeat.FeatureSet(scores[:, None], np.arange(n),
-                                   np.full(n, -1, dtype=np.int64), [tag] * n, ["msp"])
-
-    normal = as_features(clean_ds, "clean-test")
-    anomalous = as_features(anom_ds, anom_ds.source_tag)
-    _, _, test = detector.assemble_detection_sets(normal, anomalous, seed)
+    _, _, test = detector.assemble_detection_sets(
+        gradfeat.unlabeled_features(clean_scores[:, None], "clean-test"),
+        gradfeat.unlabeled_features(anom_scores[:, None], anom_tag), seed)
     scored = detector.ScoredSamples(test.sample_ids, test.anomaly_labels,
                                     test.values[:, 0], list(test.tags))
     return scored, detector.evaluate(scored)
@@ -155,16 +153,17 @@ def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
     sets = ensure_anomalies(cfg, model, out)
     feature_sets = {mode: ensure_features(cfg, model, sets, mode, out)
                     for mode in gradfeat.FEATURE_MODES}
+    msp = {tag: detector.msp_scores(model, ds.images) for tag, ds in sets.items()}
 
     rows = []
     for tag in list(sets)[1:]:  # every source after clean-test
         seed = child_seed(cfg.master_seed, f"detect:{tag}")
         results = []
         for mode in gradfeat.FEATURE_MODES:
-            _, scored, metrics = detect_and_report(
+            scored, metrics = detect_and_report(
                 cfg, feature_sets[mode]["clean-test"], feature_sets[mode][tag], seed)
             results.append((mode, scored, metrics))
-        results.append(("msp", *msp_report(cfg, model, sets["clean-test"], sets[tag], seed)))
+        results.append(("msp", *msp_report(msp["clean-test"], msp[tag], tag, seed)))
         for method, scored, metrics in results:
             detector.save_scores_csv(scored, _artifact(cfg, out, f"scores-{tag}-{method}", "csv"))
             rows.append(_report_row(tag, method, scored, metrics))
@@ -262,15 +261,11 @@ def cmd_run_experiment(args) -> int:
 def cmd_compare_norms(args) -> int:
     cfg, out = _setup(args)
     model, sets = _sets(cfg, out)
-    label = cfg.confounding_label(model.num_classes)
     lines = []
     for mode in gradfeat.FEATURE_MODES:
-        per_set = [gradfeat.extract_features(model, ds.images, mode, label, tag)
-                   for tag, ds in sets.items()]
-        merged = gradfeat.concat_features(per_set)
+        merged = gradfeat.concat_features(ensure_features(cfg, model, sets, mode, out).values())
         summary = gradfeat.norm_summary(merged.values, merged.tags)
-        names = per_set[0].feature_names
-        for j, name in enumerate(names):
+        for j, name in enumerate(gradfeat.feature_names(model, mode)):
             lines.append(f"== {mode} / {name} ==")
             lines.append(f"{'source':<22}{'min':>12}{'q1':>12}{'median':>12}{'q3':>12}{'max':>12}")
             for tag, stats in summary.items():

@@ -101,10 +101,16 @@ class ExperimentConfig:
         for kind in self.ood_kinds:
             if kind not in OOD_KINDS:
                 raise ValueError(f"unknown OOD kind {kind!r}")
+        for key in ("attack_kinds", "ood_kinds"):
+            kinds = getattr(self, key)
+            if len(set(kinds)) != len(kinds):
+                raise ValueError(f"{key} lists a kind twice: {','.join(kinds)}")
         for key, low in _MINIMUMS.items():
             value = getattr(self, key)
             if not value >= low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
+        if 0 < self.attack_count < 3:  # it also sizes the clean set, which must fill the split
+            raise ValueError(f"attack_count must be 0 or >= 3, got {self.attack_count}")
         if not self.detector_learning_rate > 0:
             raise ValueError(f"detector_learning_rate must be > 0, "
                              f"got {self.detector_learning_rate}")
@@ -197,8 +203,8 @@ class ExperimentConfig:
 # Lowest valid value of each integer key no stage config checks.
 _MINIMUMS = {
     "dataset_count": 1,
-    "ood_count": 1,          # gen_ood needs at least one sample
-    "attack_count": 0,       # 0 = whole test split
+    "ood_count": 3,          # fills every part of the 40/40/20 detection split
+    "attack_count": 0,       # 0 = whole test split; see validate()
     "hidden": 1,
     "detector_epochs": 1,
     "detector_patience": 1,

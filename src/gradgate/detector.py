@@ -18,7 +18,6 @@ from . import storage
 from .autodiff import Tensor, backward, bce_with_logits, matmul, relu, sgd_step, stable_sigmoid
 from .data import stratify
 from .gradfeat import FeatureSet, concat_features
-from .nn import FORWARD_BLOCK
 
 
 @dataclass
@@ -131,14 +130,10 @@ def evaluate(scored: ScoredSamples, threshold: float = 0.5) -> dict:
 
 def msp_scores(model, images: np.ndarray) -> np.ndarray:
     """One minus the maximum softmax probability; higher means more anomalous."""
-    out = np.empty(len(images))
-    for start in range(0, len(images), FORWARD_BLOCK):
-        logits = model.logits(images[start:start + FORWARD_BLOCK])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
-        out[start:start + len(p)] = 1.0 - p.max(axis=1)
-    return out
+    logits = model.logits(images)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return 1.0 - p.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +151,26 @@ DETECTION_FRACTIONS = (0.4, 0.4, 0.2)
 
 def assemble_detection_sets(normal: FeatureSet, anomalous: FeatureSet, seed: int):
     """Label and split both sides 40/40/20 independently, then merge the
-    matching parts into (train, val, test)."""
-    if len(normal) == 0 or len(anomalous) == 0:
-        raise ValueError("both normal and anomalous feature sets must be nonempty")
+    matching parts into (train, val, test). Raises ValueError when a side
+    would leave one of its parts empty."""
     if normal.dim != anomalous.dim:
         raise ValueError(f"feature dims differ: {normal.dim} vs {anomalous.dim}")
-    normal = normal.with_anomaly_label(0)
-    anomalous = anomalous.with_anomaly_label(1)
-    rng_n = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
-    rng_a = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
-    parts_n = stratify(_tag_groups(normal), DETECTION_FRACTIONS, rng_n)
-    parts_a = stratify(_tag_groups(anomalous), DETECTION_FRACTIONS, rng_a)
-    return tuple(concat_features([normal.subset(pn), anomalous.subset(pa)])
-                 for pn, pa in zip(parts_n, parts_a))
+    normal_parts = _split_side(normal, "normal", 0, seed)
+    anomalous_parts = _split_side(anomalous, "anomalous", 1, seed)
+    return tuple(concat_features(pair) for pair in zip(normal_parts, anomalous_parts))
+
+
+def _split_side(fs: FeatureSet, side: str, label: int, seed: int) -> list:
+    """One side, labeled ``label``, cut by a generator seeded with (seed, label)."""
+    if len(fs) == 0:
+        raise ValueError(f"the {side} side is empty")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, label)))
+    parts = stratify(_tag_groups(fs), DETECTION_FRACTIONS, rng)
+    if any(len(part) == 0 for part in parts):
+        raise ValueError(f"the {side} side's {len(fs)} rows leave a part of the "
+                         f"40/40/20 detection split empty")
+    fs = fs.with_anomaly_label(label)
+    return [fs.subset(part) for part in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ per-sample gradient is a product of it with the layer's input.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import storage
 from .autodiff import Tensor, as_tensor, backward, bce_with_logits
-from .nn import FORWARD_BLOCK
+from .nn import FORWARD_BLOCK, map_blocks
 
 UNLABELED = -1
 # Samples per batched backward pass. Larger chunks run faster (on one core,
@@ -102,8 +102,6 @@ class FeatureSet:
     sample_ids: np.ndarray           # (n,) int
     anomaly_labels: np.ndarray       # (n,) int in {0, 1, -1}
     tags: list                       # source tag per row
-    feature_names: list = field(default_factory=list)
-    label_descriptor: str = ""
 
     def __len__(self) -> int:
         return len(self.values)
@@ -115,12 +113,19 @@ class FeatureSet:
     def subset(self, indices) -> "FeatureSet":
         idx = np.asarray(indices)
         return FeatureSet(self.values[idx], self.sample_ids[idx], self.anomaly_labels[idx],
-                          [self.tags[i] for i in idx], self.feature_names, self.label_descriptor)
+                          [self.tags[i] for i in idx])
 
     def with_anomaly_label(self, label: int) -> "FeatureSet":
         return FeatureSet(self.values, self.sample_ids,
                           np.full(len(self), label, dtype=np.int64),
-                          list(self.tags), self.feature_names, self.label_descriptor)
+                          list(self.tags))
+
+
+def unlabeled_features(values: np.ndarray, source_tag: str) -> FeatureSet:
+    """Rows 0..n-1 of one source, before a detection split labels them."""
+    n = len(values)
+    return FeatureSet(values, np.arange(n), np.full(n, UNLABELED, dtype=np.int64),
+                      [source_tag] * n)
 
 
 def concat_features(sets) -> FeatureSet:
@@ -133,8 +138,6 @@ def concat_features(sets) -> FeatureSet:
         np.concatenate([fs.sample_ids for fs in sets]),
         np.concatenate([fs.anomaly_labels for fs in sets]),
         [t for fs in sets for t in fs.tags],
-        sets[0].feature_names,
-        sets[0].label_descriptor,
     )
 
 
@@ -153,18 +156,12 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
     - dense weight: ||a_i||^2 * ||g_i||^2
     - dense bias: ||g_i||^2
     """
-    n = len(images)
-    names = model.param_names()
-    values = np.empty((n, len(names)))
     frozen = model.frozen()
-    for start in range(0, n, CHUNK_SIZE):
-        stop = start + CHUNK_SIZE
-        values[start:stop] = _chunk_features(frozen, images[start:stop], label)
+    values = map_blocks(lambda chunk: _chunk_features(frozen, chunk, label), images, CHUNK_SIZE)
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if len(bad):
         raise FeatureError(f"non-finite gradient feature for sample {bad[0]} ({source_tag})")
-    return FeatureSet(values, np.arange(n), np.full(n, UNLABELED, dtype=np.int64),
-                      [source_tag] * n, names, label.descriptor)
+    return unlabeled_features(values, source_tag)
 
 
 def _chunk_features(model, chunk: np.ndarray, label: ConfoundingLabel) -> np.ndarray:
@@ -190,20 +187,24 @@ def _per_sample_sq_norms(tap, g: np.ndarray):
 
 def extract_activation_features(model, images: np.ndarray, source_tag: str = "") -> FeatureSet:
     """Per-layer L2 norms of the post-nonlinearity outputs (forward only)."""
-    n = len(images)
     frozen = model.frozen()
-    chunks = []
-    for start in range(0, n, FORWARD_BLOCK):
-        _, acts = frozen.forward(images[start:start + FORWARD_BLOCK])
-        per_layer = [np.sqrt((a.data.reshape(len(a.data), -1) ** 2).sum(axis=1)) for a in acts]
-        chunks.append(np.stack(per_layer, axis=1))
-    values = np.concatenate(chunks)
-    names = [f"layer{i}" for i in range(len(model.arch.layers))]
-    return FeatureSet(values, np.arange(n), np.full(n, UNLABELED, dtype=np.int64),
-                      [source_tag] * n, names, "")
+
+    def layer_norms(block):
+        return np.stack([np.sqrt((a.data.reshape(len(a.data), -1) ** 2).sum(axis=1))
+                         for a in frozen.forward(block)[1]], axis=1)
+
+    return unlabeled_features(map_blocks(layer_norms, images, FORWARD_BLOCK), source_tag)
 
 
 FEATURE_MODES = ("gradient", "activation")
+
+
+def feature_names(model, mode: str) -> list:
+    """What each column of a mode measures: a parameter set for gradient
+    features, a layer for activation features."""
+    if mode == "gradient":
+        return model.param_names()
+    return [f"layer{i}" for i in range(len(model.arch.layers))]
 
 
 def extract_features(model, images: np.ndarray, mode: str, label: ConfoundingLabel,
@@ -267,5 +268,7 @@ def load_features_csv(path) -> FeatureSet:
             tags.append(row[2])
             rows.append([float(v) for v in row[3:]])
     values = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    return FeatureSet(values, np.array(ids), np.array(labels, dtype=np.int64), tags,
-                      [f"f{j}" for j in range(dim)], "")
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if len(bad):
+        raise FeatureError(f"{path}: non-finite value in row {bad[0]}")
+    return FeatureSet(values, np.array(ids), np.array(labels, dtype=np.int64), tags)

@@ -29,8 +29,8 @@ from .autodiff import (
 
 CHECKPOINT_MAGIC = b"GGATE"
 
-# Samples per forward pass in the forward-only loops over a whole set:
-# nn.accuracy, detector.msp_scores and gradfeat.extract_activation_features.
+# Samples per forward pass of Classifier.logits (and so of predict, accuracy
+# and msp_scores) and of gradfeat.extract_activation_features.
 FORWARD_BLOCK = 256
 
 _ACTIVATIONS = ("relu", "none")
@@ -285,8 +285,11 @@ class Classifier:
         return Classifier(self.arch, params, self.norm_mean, self.norm_std,
                           self.seed, self.val_accuracy)
 
-    def logits(self, x) -> np.ndarray:
-        return self.frozen().forward(x)[0].data
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Logits of the frozen classifier, ``FORWARD_BLOCK`` samples per
+        forward pass."""
+        frozen = self.frozen()
+        return map_blocks(lambda block: frozen.forward(block)[0].data, x, FORWARD_BLOCK)
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)
@@ -317,12 +320,14 @@ def build_classifier(arch: ArchSpec, seed: int) -> Classifier:
     return Classifier(arch, params, seed=seed)
 
 
+def map_blocks(fn, x: np.ndarray, block: int) -> np.ndarray:
+    """``fn`` applied to consecutive ``block``-row slices of ``x``, its results
+    stacked along the first axis; ``fn`` must treat rows independently."""
+    return np.concatenate([fn(x[start:start + block]) for start in range(0, len(x), block)])
+
+
 def accuracy(model: Classifier, images: np.ndarray, labels: np.ndarray) -> float:
-    hits = 0
-    for start in range(0, len(labels), FORWARD_BLOCK):
-        pred = model.predict(images[start:start + FORWARD_BLOCK])
-        hits += int((pred == labels[start:start + FORWARD_BLOCK]).sum())
-    return hits / len(labels)
+    return int((model.predict(images) == labels).sum()) / len(labels)
 
 
 def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):

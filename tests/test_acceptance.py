@@ -301,7 +301,7 @@ class TestCriterion8SplitProtocol:
         def features(n, tag):
             return FeatureSet(np.random.default_rng(n).uniform(size=(n, 3)),
                               np.arange(n), np.full(n, -1, dtype=np.int64),
-                              [tag] * n, ["f0", "f1", "f2"])
+                              [tag] * n)
 
         # divisible by 5: exact sizes
         train, val, test = assemble_detection_sets(features(100, "a"), features(50, "b"), 3)

@@ -81,6 +81,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("dataset_count", 0), ("ood_count", -5), ("ood_count", 0), ("attack_count", -1),
+        ("ood_count", 1), ("ood_count", 2), ("attack_count", 1), ("attack_count", 2),
+        ("attack_kinds", ("fgsm", "fgsm")), ("ood_kinds", ("textures", "uniform-noise", "textures")),
         ("epsilon", -1.0), ("epsilon", float("nan")), ("hidden", 0),
         ("detector_patience", 0), ("detector_epochs", 0), ("cw_iterations", 0),
         ("alpha", 0.0), ("cw_c", 0.0), ("iterations", 0), ("cw_lr", float("nan")), ("cw_lr", 0.0),
@@ -103,7 +105,7 @@ class TestConfig:
 
     def test_range_floors_accepted(self, tiny_config):
         path, _ = tiny_config
-        floors = {"dataset_count": 1, "ood_count": 1, "attack_count": 0, "epsilon": 0.0,
+        floors = {"dataset_count": 1, "ood_count": 3, "attack_count": 0, "epsilon": 0.0,
                   "hidden": 1, "detector_patience": 1, "detector_epochs": 1,
                   "cw_iterations": 1, "iterations": 1, "detector_batch_size": 1}
         cfg = ExperimentConfig.from_file(path, overrides=floors)
@@ -242,6 +244,16 @@ class TestExtractAndDetect:
 
 
 class TestFeatureCache:
+    def test_cached_csv_short_of_its_set_rejected(self, tmp_path):
+        cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
+        model = build_classifier(small_cnn(), seed=0)
+        sets = {"probe": gen_glyphs(5, seed=3)}
+        cli.ensure_features(cfg, model, sets, "activation", tmp_path)
+        path = tmp_path / f"features-activation-probe-{cfg.digest()}.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(gradfeat.FeatureError, match=f"{path.name}: 4 rows for a set of 5"):
+            cli.ensure_features(cfg, model, sets, "activation", tmp_path)
+
     def test_write_cut_short_is_regenerated(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
         model = build_classifier(small_cnn(), seed=0)
@@ -279,6 +291,16 @@ class TestRunExperiment:
                 for metric in ("accuracy", "auroc", "aupr"):
                     assert 0.0 <= float(kv[f"row.{source}.{method}.{metric}"]) <= 1.0
         assert (out / f"report-{cfg.digest()}.txt").exists()
+
+    def test_msp_scored_once_per_set(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        calls = []
+        msp_scores = cli.detector.msp_scores
+        monkeypatch.setattr(cli.detector, "msp_scores",
+                            lambda model, images: calls.append(len(images)) or
+                            msp_scores(model, images))
+        cli.run_experiment(ExperimentConfig.from_file(path), out)
+        assert calls == [40, 40, 40, 40]  # clean-test, adv-fgsm, adv-semantic, ood-uniform-noise
 
     def test_second_run_reuses_artifacts(self, tiny_config):
         path, out = tiny_config
@@ -352,6 +374,18 @@ class TestCompareNorms:
         assert sum(l.startswith("== activation /") for l in blocks) == 4  # per layer
         for tag in ("clean-test", "adv-fgsm", "adv-semantic", "ood-uniform-noise"):
             assert sum(l.split()[0] == tag for l in lines if l) == len(blocks)
+
+    def test_reads_the_feature_csvs_extract_features_wrote(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        assert cli.main(["extract-features", "--config", str(path)]) == 0
+        csvs = {p: p.stat().st_mtime_ns for p in out.glob("features-*.csv")}
+        assert len(csvs) == 8
+        calls = []
+        monkeypatch.setattr(gradfeat, "extract_features", lambda *a, **k: calls.append(a))
+        assert cli.main(["compare-norms", "--config", str(path)]) == 0
+        assert calls == []
+        for p, stamp in csvs.items():
+            assert p.stat().st_mtime_ns == stamp, p.name
 
     def test_k_hot_uses_the_pipeline_label(self, tiny_config, monkeypatch):
         path, out = tiny_config

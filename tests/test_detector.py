@@ -57,7 +57,7 @@ def make_features(values, label, tag):
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     return FeatureSet(values, np.arange(n), np.full(n, label, dtype=np.int64),
-                      [tag] * n, [f"f{j}" for j in range(values.shape[1])])
+                      [tag] * n)
 
 
 class TestAuroc:
@@ -217,7 +217,7 @@ class TestAssemble:
         assert list(dict.fromkeys(tags)) != sorted(set(tags))
         n = len(tags)
         anom = FeatureSet(rng.uniform(size=(n, 2)), np.arange(100, 100 + n),
-                          np.full(n, -1, dtype=np.int64), tags, ["f0", "f1"])
+                          np.full(n, -1, dtype=np.int64), tags)
         normal = make_features(rng.uniform(size=(30, 2)), -1, "clean")
         parts = assemble_detection_sets(normal, anom, seed=9)
         ref_n = split_side_reference(normal, DETECTION_FRACTIONS, np.random.default_rng(
@@ -255,6 +255,14 @@ class TestAssemble:
         empty = make_features(np.zeros((0, 2)), -1, "y")
         with pytest.raises(ValueError):
             assemble_detection_sets(filled, empty, seed=0)
+
+    @pytest.mark.parametrize("n_normal,n_anomalous,side", [(2, 3, "normal"), (3, 2, "anomalous"),
+                                                           (3, 1, "anomalous")])
+    def test_side_that_leaves_a_part_empty_is_named(self, n_normal, n_anomalous, side):
+        normal = make_features(np.zeros((n_normal, 2)), -1, "clean")
+        anom = make_features(np.ones((n_anomalous, 2)), -1, "adv")
+        with pytest.raises(ValueError, match=f"the {side} side's {min(n_normal, n_anomalous)} rows"):
+            assemble_detection_sets(normal, anom, seed=0)
 
     def test_deterministic(self):
         normal = make_features(np.random.default_rng(5).uniform(size=(50, 2)), -1, "clean")

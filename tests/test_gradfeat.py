@@ -15,6 +15,7 @@ from gradgate.gradfeat import (
     concat_features,
     extract_activation_features,
     extract_gradient_features,
+    feature_names,
     load_features_csv,
     make_confounding_label,
     norm_summary,
@@ -124,7 +125,8 @@ class TestGradientFeatures:
         images = gen_glyphs(3, seed=1).images
         fs = extract_gradient_features(cnn, images, make_confounding_label(10), "clean")
         assert fs.values.shape == (3, 8)
-        assert fs.feature_names == cnn.param_names()
+        assert feature_names(cnn, "gradient") == [f"layer{i}.{p}" for i in range(4)
+                                                  for p in ("weight", "bias")]
         assert np.all(fs.anomaly_labels == -1)
 
     def test_nonnegative_and_finite(self, cnn):
@@ -226,6 +228,7 @@ class TestBatchedGradientFeatures:
         for grads in seen:
             assert not any(ps.tensor in grads for ps in cnn.params)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN pixel is the point
     def test_non_finite_feature_names_first_bad_sample(self, cnn):
         images = gen_glyphs(CHUNK_SIZE + 6, seed=26).images
         images[CHUNK_SIZE + 2, 0, 3, 3] = np.nan
@@ -246,6 +249,7 @@ class TestActivationFeatures:
     def test_entry_count_is_layer_count(self, cnn):
         fs = extract_activation_features(cnn, gen_glyphs(2, seed=6).images)
         assert fs.values.shape == (2, 4)
+        assert feature_names(cnn, "activation") == ["layer0", "layer1", "layer2", "layer3"]
 
     def test_norms_nonnegative(self, cnn):
         fs = extract_activation_features(cnn, gen_glyphs(6, seed=7).images)
@@ -292,6 +296,20 @@ class TestFeatureCsv:
         assert first.read_bytes() == second.read_bytes()
         assert reloaded.values.tobytes() == fs.values.tobytes()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_file_and_row(self, cnn, tmp_path, bad):
+        fs = extract_gradient_features(cnn, gen_glyphs(3, seed=9).images,
+                                       make_confounding_label(10), "clean")
+        path = tmp_path / "f.csv"
+        save_features_csv(fs, path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = bad
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FeatureError, match="f.csv: non-finite value in row 1"):
+            load_features_csv(path)
+
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,foo\n1,2\n")
@@ -299,9 +317,7 @@ class TestFeatureCsv:
             load_features_csv(bad)
 
     def test_concat_requires_same_dim(self):
-        a = FeatureSet(np.zeros((2, 3)), np.arange(2), np.zeros(2, dtype=np.int64),
-                       ["x", "x"], ["f0", "f1", "f2"])
-        b = FeatureSet(np.zeros((2, 4)), np.arange(2), np.zeros(2, dtype=np.int64),
-                       ["y", "y"], ["f0", "f1", "f2", "f3"])
+        a = FeatureSet(np.zeros((2, 3)), np.arange(2), np.zeros(2, dtype=np.int64), ["x", "x"])
+        b = FeatureSet(np.zeros((2, 4)), np.arange(2), np.zeros(2, dtype=np.int64), ["y", "y"])
         with pytest.raises(FeatureError):
             concat_features([a, b])

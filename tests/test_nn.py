@@ -7,6 +7,7 @@ from gradgate import storage
 from gradgate.autodiff import ShapeError, Tensor, backward, softmax_cross_entropy
 from gradgate.data import Dataset
 from gradgate.nn import (
+    FORWARD_BLOCK,
     ArchError,
     ArchSpec,
     ConvLayer,
@@ -95,6 +96,13 @@ class TestForward:
         w0, b0, w1, b1 = [ps.tensor.data for ps in model.params]
         manual = np.maximum(flat @ w0 + b0, 0.0) @ w1 + b1
         np.testing.assert_allclose(logits.data, manual, rtol=1e-12, atol=1e-14)
+
+    def test_blocked_logits_equal_one_forward_pass(self):
+        model = build_classifier(small_cnn(), seed=4)
+        images = np.random.default_rng(5).uniform(size=(FORWARD_BLOCK + 2, 1, 16, 16))
+        whole = model.frozen().forward(images)[0].data
+        assert model.logits(images).tobytes() == whole.tobytes()
+        assert np.array_equal(model.predict(images), np.argmax(whole, axis=1))
 
     def test_input_shape_mismatch(self):
         model = build_classifier(small_cnn(), seed=0)
