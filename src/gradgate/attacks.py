@@ -190,13 +190,11 @@ def cw_l2(model, x, y, c=1.0, iterations=200, lr=0.1) -> AttackResult:
         best_l2[better] = l2[better]
         success |= miss
 
-    last = interior
     for _ in range(iterations):
         wt = Tensor(w, requires_grad=True)
         adv = tanh(wt) * 0.5 + 0.5
         logits, _ = model.forward(adv)
         record(adv.data, logits.data)
-        last = adv.data
 
         dist = tsum((adv - x0) * (adv - x0))
         z_true = tsum(logits * onehot_t, axis=1)
@@ -208,9 +206,8 @@ def cw_l2(model, x, y, c=1.0, iterations=200, lr=0.1) -> AttackResult:
     final = np.tanh(w) * 0.5 + 0.5
     logits_final = model.logits(final)
     record(final, logits_final)
-    last = final
 
-    adv_out = np.where(success[:, None, None, None], best_adv, last)
+    adv_out = np.where(success[:, None, None, None], best_adv, final)
     linf, l2 = _norms(x, adv_out)
     return AttackResult("cw", adv_out, success, linf, l2)
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import storage
-from .autodiff import Tensor, backward, bce_with_logits, matmul, relu, sgd_step, stable_sigmoid
+from .autodiff import Tensor, bce_with_logits, matmul, relu, stable_sigmoid
 from .data import stratify
 from .gradfeat import FeatureSet, concat_features
+from .nn import sgd_epochs
 
 
 @dataclass
@@ -57,17 +58,9 @@ def _check_binary(labels) -> np.ndarray:
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing the mean of their rank range."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of each tie run's last member
+    return (last - (counts - 1) / 2.0)[run]
 
 
 def auroc(labels, scores) -> float:
@@ -93,19 +86,13 @@ def aupr(labels, scores) -> float:
         raise ValueError("aupr requires at least one positive")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    tp = np.cumsum(y == 1)
-    predicted = np.arange(1, len(y) + 1)
-    # keep only the last index of each tied-score run (threshold boundaries)
+    tp = np.cumsum(labels[order] == 1)
+    # the last index of each tied-score run (threshold boundaries)
     boundary = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    area = 0.0
-    prev_recall = 0.0
-    for b in boundary:
-        precision = tp[b] / predicted[b]
-        recall = tp[b] / n_pos
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(area)
+    precision = tp[boundary] / (boundary + 1)
+    recall = tp[boundary] / n_pos
+    # cumsum adds in order, as the step sum is defined; np.sum would pair terms
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def detection_accuracy(labels, scores, threshold: float = 0.5) -> float:
@@ -178,35 +165,28 @@ def _split_side(fs: FeatureSet, side: str, label: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 class DetectorMLP:
-    """Two-layer sigmoid-output MLP with frozen train-split standardization."""
+    """Two-layer sigmoid-output MLP; standardizes its inputs with the mean
+    and std of the train values it is built from."""
 
-    def __init__(self, input_dim: int, hidden: int, seed: int):
+    def __init__(self, train_values: np.ndarray, hidden: int, seed: int):
+        input_dim = train_values.shape[1]
         rng = np.random.default_rng(seed)
         b1 = 1.0 / np.sqrt(input_dim)
         b2 = 1.0 / np.sqrt(hidden)
-        self.w1 = Tensor(rng.uniform(-b1, b1, size=(input_dim, hidden)), requires_grad=True)
-        self.b1 = Tensor(rng.uniform(-b1, b1, size=hidden), requires_grad=True)
-        self.w2 = Tensor(rng.uniform(-b2, b2, size=(hidden, 1)), requires_grad=True)
-        self.b2 = Tensor(rng.uniform(-b2, b2, size=1), requires_grad=True)
-        self.mean = np.zeros(input_dim)
-        self.std = np.ones(input_dim)
+        self.params = [Tensor(rng.uniform(-b, b, size=shape), requires_grad=True)
+                       for b, shape in ((b1, (input_dim, hidden)), (b1, hidden),
+                                        (b2, (hidden, 1)), (b2, 1))]
+        self.mean = train_values.mean(axis=0)
+        self.std = np.maximum(train_values.std(axis=0), 1e-12)
         self.input_dim = input_dim
-
-    def fit_standardization(self, values: np.ndarray) -> None:
-        self.mean = values.mean(axis=0)
-        self.std = np.maximum(values.std(axis=0), 1e-12)
 
     def standardize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def _params(self):
-        return (self.w1, self.b1, self.w2, self.b2)
-
     def logit(self, std_values: np.ndarray, frozen: bool = False) -> Tensor:
         """Detector logits; with ``frozen`` the parameters enter as constants,
         so no graph is kept."""
-        params = self._params()
-        w1, b1, w2, b2 = (Tensor(p.data) for p in params) if frozen else params
+        w1, b1, w2, b2 = [Tensor(p.data) for p in self.params] if frozen else self.params
         h = relu(matmul(Tensor(std_values), w1) + b1)
         return matmul(h, w2) + b2
 
@@ -217,53 +197,41 @@ class DetectorMLP:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
         return stable_sigmoid(self.logit(self.standardize(values), frozen=True).data[:, 0])
 
-    def snapshot(self) -> list:
-        return [p.data.copy() for p in self._params()]
 
-    def restore(self, snap: list) -> None:
-        for p, arr in zip(self._params(), snap):
-            p.data = arr.copy()
+MOMENTUM = 0.9
 
 
 def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: int = 0,
-                   learning_rate: float = 0.05, momentum: float = 0.9,
-                   batch_size: int = 32, max_epochs: int = 200,
+                   learning_rate: float = 0.05, batch_size: int = 32, max_epochs: int = 200,
                    patience: int = 10) -> DetectorMLP:
-    """SGD on binary cross-entropy with early stopping on validation AUROC.
+    """SGD with momentum ``MOMENTUM`` on binary cross-entropy, with early
+    stopping on validation AUROC.
 
     Keeps the parameters from the best validation epoch; deterministic
     under a fixed seed.
     """
     if train.dim != val.dim:
         raise ValueError(f"train dim {train.dim} != val dim {val.dim}")
-    det = DetectorMLP(train.dim, hidden, seed)
-    det.fit_standardization(train.values)
+    det = DetectorMLP(train.values, hidden, seed)
     x = det.standardize(train.values)
     y = train.anomaly_labels.astype(np.float64)[:, None]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2)))
-    velocity = [np.zeros_like(p.data) for p in det._params()]
     best_auroc = -1.0
-    best_snap = det.snapshot()
+    best = [p.data.copy() for p in det.params]
     stale = 0
-    n = len(train)
-    for _ in range(max_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            loss = bce_with_logits(det.logit(x[idx]), y[idx])
-            if not np.isfinite(loss.data):
-                raise RuntimeError("non-finite detector loss")
-            sgd_step(det._params(), backward(loss), velocity, learning_rate, momentum)
+    for _ in sgd_epochs(det.params, lambda idx: bce_with_logits(det.logit(x[idx]), y[idx]),
+                        len(train), batch_size, np.random.SeedSequence(entropy=(seed, 2)),
+                        max_epochs, lr=learning_rate, momentum=MOMENTUM, weight_decay=0.0):
         val_auroc = auroc(val.anomaly_labels, det.score(val.values))
         if val_auroc > best_auroc + 1e-12:
             best_auroc = val_auroc
-            best_snap = det.snapshot()
+            best = [p.data.copy() for p in det.params]
             stale = 0
         else:
             stale += 1
             if stale >= patience:
                 break
-    det.restore(best_snap)
+    for p, data in zip(det.params, best):
+        p.data = data
     return det
 
 

@@ -18,6 +18,7 @@ per-sample gradient is a product of it with the layer's input.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,8 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
 def _chunk_features(model, chunk: np.ndarray, label: ConfoundingLabel) -> np.ndarray:
     """Features of one chunk; its graph is freed on return, before the next
     chunk builds its own."""
+    if len(chunk) == 0:  # no loss to differentiate
+        return np.empty((0, len(model.params)))
     taps = []
     logits, _ = model.forward(chunk, taps=taps)
     grads = backward(bce_confounding_loss(logits, label) * float(len(chunk)))
@@ -190,8 +193,9 @@ def extract_activation_features(model, images: np.ndarray, source_tag: str = "")
     frozen = model.frozen()
 
     def layer_norms(block):
-        return np.stack([np.sqrt((a.data.reshape(len(a.data), -1) ** 2).sum(axis=1))
-                         for a in frozen.forward(block)[1]], axis=1)
+        flat = [a.data.reshape(len(a.data), math.prod(a.data.shape[1:]))
+                for a in frozen.forward(block)[1]]
+        return np.stack([np.sqrt((f ** 2).sum(axis=1)) for f in flat], axis=1)
 
     return unlabeled_features(map_blocks(layer_norms, images, FORWARD_BLOCK), source_tag)
 

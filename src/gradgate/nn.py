@@ -7,6 +7,7 @@ because downstream gradient features are indexed by it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,7 +259,7 @@ class Classifier:
                 pre = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding)
             else:
                 if not flattened:
-                    t = reshape(t, (batch, t.data.size // batch))
+                    t = reshape(t, (batch, math.prod(t.data.shape[1:])))
                     flattened = True
                 pre = matmul(t, weight) + bias
             if taps is not None:
@@ -322,12 +323,39 @@ def build_classifier(arch: ArchSpec, seed: int) -> Classifier:
 
 def map_blocks(fn, x: np.ndarray, block: int) -> np.ndarray:
     """``fn`` applied to consecutive ``block``-row slices of ``x``, its results
-    stacked along the first axis; ``fn`` must treat rows independently."""
-    return np.concatenate([fn(x[start:start + block]) for start in range(0, len(x), block)])
+    stacked along the first axis; ``fn`` must treat rows independently. An
+    empty ``x`` still makes one call, so the result has ``fn``'s width."""
+    return np.concatenate([fn(x[start:start + block])
+                           for start in range(0, max(len(x), 1), block)])
 
 
 def accuracy(model: Classifier, images: np.ndarray, labels: np.ndarray) -> float:
     return int((model.predict(images) == labels).sum()) / len(labels)
+
+
+def sgd_epochs(params: list, batch_loss, n: int, batch_size: int, seed, epochs: int,
+               lr: float, momentum: float, weight_decay: float):
+    """Minibatch SGD with momentum over ``n`` samples, one epoch per item.
+
+    Each epoch visits the samples in a fresh permutation from a generator
+    seeded with ``seed``, ``batch_size`` at a time; ``batch_loss(idx)``
+    returns the scalar loss Tensor of the samples ``idx``, and one
+    :func:`sgd_step` follows each batch. Yields the epoch's batch losses;
+    a caller may stop early. Raises TrainingError on a non-finite loss.
+    """
+    rng = np.random.default_rng(seed)
+    velocity = [np.zeros_like(p.data) for p in params]
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        losses = []
+        for b, start in enumerate(range(0, n, batch_size)):
+            loss = batch_loss(perm[start:start + batch_size])
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingError(f"non-finite loss {value} at epoch {epoch} batch {b}")
+            losses.append(value)
+            sgd_step(params, backward(loss), velocity, lr, momentum, weight_decay)
+        yield losses
 
 
 def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
@@ -341,23 +369,15 @@ def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
     if cfg.epochs == 0:
         return model, history
     model.set_normalization(train_set.images)
-    rng = np.random.default_rng(cfg.seed)
-    params = [ps.tensor for ps in model.params]
-    velocity = [np.zeros_like(p.data) for p in params]
-    n = len(train_set.labels)
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for b, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start:start + cfg.batch_size]
-            logits, _ = model.forward(train_set.images[idx])
-            loss = softmax_cross_entropy(logits, train_set.labels[idx])
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss {value} at epoch {epoch} batch {b}")
-            losses.append(value)
-            sgd_step(params, backward(loss), velocity, cfg.learning_rate, cfg.momentum,
-                     cfg.weight_decay)
+
+    def batch_loss(idx):
+        return softmax_cross_entropy(model.forward(train_set.images[idx])[0],
+                                     train_set.labels[idx])
+
+    epochs = sgd_epochs([ps.tensor for ps in model.params], batch_loss, len(train_set.labels),
+                        cfg.batch_size, cfg.seed, cfg.epochs, lr=cfg.learning_rate,
+                        momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    for epoch, losses in enumerate(epochs):
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),

@@ -53,6 +53,61 @@ def aupr_sweep_oracle(labels, scores):
     return area
 
 
+def midranks_loop_oracle(scores):
+    """Midranks by walking each tie run of the sorted scores."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def auroc_loop_oracle(labels, scores):
+    """The rank statistic of auroc over the loop midranks."""
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    u = midranks_loop_oracle(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def aupr_loop_oracle(labels, scores):
+    """The step sum of aupr, one threshold boundary at a time, in order."""
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    tp = np.cumsum(labels[order] == 1)
+    predicted = np.arange(1, len(s) + 1)
+    area = 0.0
+    prev_recall = 0.0
+    for b in np.flatnonzero(np.append(s[1:] != s[:-1], True)):
+        precision = tp[b] / predicted[b]
+        recall = tp[b] / n_pos
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+    return float(area)
+
+
+def tie_heavy_instances(count, seed):
+    """Scores on a grid of 2k+1 levels for a random k <= n, so tie runs of
+    every length occur; zeros carry random signs. Both labels occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 300))
+        k = int(rng.integers(1, n + 1))
+        scores = rng.integers(-k, k + 1, size=n) / k
+        zeros = scores == 0.0
+        scores[zeros] *= rng.choice([-1.0, 1.0], size=int(zeros.sum()))
+        labels = rng.integers(0, 2, size=n)
+        labels[rng.choice(n, size=2, replace=False)] = (0, 1)
+        yield labels, scores
+
+
 def make_features(values, label, tag):
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
@@ -141,6 +196,15 @@ class TestAupr:
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError):
             aupr(np.zeros(4, dtype=np.int64), np.arange(4.0))
+
+
+def test_rank_metrics_bit_equal_to_loops_on_tie_heavy_inputs():
+    seen_negative_zero = False
+    for labels, scores in tie_heavy_instances(1000, seed=11):
+        seen_negative_zero |= bool(np.any(np.signbit(scores) & (scores == 0.0)))
+        assert auroc(labels, scores).hex() == auroc_loop_oracle(labels, scores).hex()
+        assert aupr(labels, scores).hex() == aupr_loop_oracle(labels, scores).hex()
+    assert seen_negative_zero
 
 
 class TestDetectionAccuracy:
@@ -308,7 +372,7 @@ class TestDetectorTraining:
         train, val, _ = assemble_detection_sets(normal, anom, seed=1)
         d1 = train_detector(train, val, hidden=8, seed=4, max_epochs=30)
         d2 = train_detector(train, val, hidden=8, seed=4, max_epochs=30)
-        for p1, p2 in zip(d1._params(), d2._params()):
+        for p1, p2 in zip(d1.params, d2.params):
             assert p1.data.tobytes() == p2.data.tobytes()
 
     def test_scores_in_open_unit_interval(self):

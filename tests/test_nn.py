@@ -6,6 +6,13 @@ import pytest
 from gradgate import storage
 from gradgate.autodiff import ShapeError, Tensor, backward, softmax_cross_entropy
 from gradgate.data import Dataset
+from gradgate.detector import msp_scores, train_detector
+from gradgate.gradfeat import (
+    FeatureSet,
+    extract_activation_features,
+    extract_gradient_features,
+    make_confounding_label,
+)
 from gradgate.nn import (
     FORWARD_BLOCK,
     ArchError,
@@ -13,6 +20,7 @@ from gradgate.nn import (
     ConvLayer,
     DenseLayer,
     TrainConfig,
+    TrainingError,
     accuracy,
     build_classifier,
     load_checkpoint,
@@ -34,6 +42,33 @@ def separable_blobs(n_per_class=40, seed=0):
         images[i, 0] = np.clip(base + rng.normal(0, 0.05, (4, 4)), 0, 1)
         labels[i] = cls
     return Dataset(images, labels, "blobs", seed)
+
+
+# Each pass of the frozen classifier over a set, and its output shape on no
+# samples for small_cnn: 10 classes, 8 parameter sets, 4 layers.
+ZERO_ROW_PASSES = {
+    "logits": (lambda model, x: model.logits(x), (0, 10)),
+    "msp_scores": (msp_scores, (0,)),
+    "gradient_features": (lambda model, x: extract_gradient_features(
+        model, x, make_confounding_label(10)).values, (0, 8)),
+    "activation_features": (lambda model, x: extract_activation_features(model, x).values,
+                            (0, 4)),
+}
+
+
+def train_with_nan(trainer):
+    """Run one trainer on inputs that make its first batch loss NaN."""
+    train = separable_blobs(seed=0)
+    if trainer == "classifier":
+        model = build_classifier(mlp(num_classes=2, input_shape=(1, 4, 4)), seed=0)
+        model.params[0].tensor.data[0, 0] = np.nan
+        train_classifier(model, train, train, TrainConfig(epochs=1, seed=0))
+    else:
+        values = train.images.reshape(len(train.labels), -1).copy()
+        values[0, 0] = np.nan
+        features = FeatureSet(values, np.arange(len(values)), train.labels,
+                              ["blobs"] * len(values))
+        train_detector(features, features, hidden=4, max_epochs=1)
 
 
 class TestBuild:
@@ -104,6 +139,12 @@ class TestForward:
         assert model.logits(images).tobytes() == whole.tobytes()
         assert np.array_equal(model.predict(images), np.argmax(whole, axis=1))
 
+    @pytest.mark.parametrize("name", list(ZERO_ROW_PASSES))
+    def test_zero_rows_give_zero_rows_of_full_width(self, name):
+        run, shape = ZERO_ROW_PASSES[name]
+        out = run(build_classifier(small_cnn(), seed=0), np.zeros((0, 1, 16, 16)))
+        assert out.shape == shape
+
     def test_input_shape_mismatch(self):
         model = build_classifier(small_cnn(), seed=0)
         with pytest.raises(ShapeError):
@@ -146,6 +187,11 @@ class TestTraining:
                 logits = Tensor(np.full((batch, n), 1.7))
                 loss = softmax_cross_entropy(logits, np.zeros(batch, dtype=np.int64))
                 assert float(loss.data) == math.log(n)
+
+    @pytest.mark.parametrize("trainer", ["classifier", "detector"])
+    def test_non_finite_loss_raises_training_error(self, trainer):
+        with pytest.raises(TrainingError, match="non-finite loss nan at epoch 0 batch 0"):
+            train_with_nan(trainer)
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
