@@ -147,12 +147,17 @@ def tanh(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
-    try:
-        val = x.data.reshape(shape)
+    try:  # read in C order, so a flatten of batch-innermost data is no strided view
+        val = np.ascontiguousarray(x.data).reshape(shape)
     except ValueError:
         raise ShapeError("reshape", x.data.shape, shape) from None
-    old = x.data.shape
-    return _node(val, (x,), lambda g: (g.reshape(old),))
+
+    def vjp(g):
+        dx = np.empty_like(x.data)  # in x's memory order, so a pool's backward reads one layout
+        dx[...] = g.reshape(dx.shape)
+        return (dx,)
+
+    return _node(val, (x,), vjp)
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
@@ -185,41 +190,56 @@ def amax(x: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """Gather conv patches into (B, C*kh*kw, oh*ow) columns."""
-    if padding:  # by slice assignment: np.pad triples im2col's time on 4-sample chunks
-        B, C, H, W = x.shape
-        padded = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        padded[:, :, padding:padding + H, padding:padding + W] = x
-        x = padded
+    """Gather conv patches into (B, C*kh*kw, oh*ow) columns.
+
+    The columns are stored batch-innermost, as (C*kh*kw, oh*ow, B), and
+    returned as a (B, C*kh*kw, oh*ow) view of that memory, so each slice copy
+    runs over ``ow * B`` contiguous doubles rather than ``ow``. ``x`` may be
+    stored in either order.
+    """
     B, C, H, W = x.shape
+    grid = x.transpose(1, 2, 3, 0)  # (C, H, W, B)
+    if padding:  # by slice assignment: np.pad triples im2col's time on 4-sample chunks
+        padded = np.zeros((C, H + 2 * padding, W + 2 * padding, B))
+        padded[:, padding:padding + H, padding:padding + W] = grid
+        grid = padded
+    _, H, W, _ = grid.shape
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
-    cols = np.empty((B, C, kh, kw, oh, ow), dtype=np.float64)
+    cols = np.empty((C, kh, kw, oh, ow, B), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(B, C * kh * kw, oh * ow), oh, ow
+            cols[:, i, j] = grid[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(C * kh * kw, oh * ow, B).transpose(2, 0, 1), oh, ow
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
-    """Scatter-add columns back to the (padded, then cropped) input grid."""
+    """Scatter-add (C*kh*kw, oh*ow, B) columns, stored as im2col stores
+    them, back to the (padded, then cropped) batch-innermost input grid;
+    returns the (B, C, H, W) view of it."""
     B, C, H, W = x_shape
     Hp, Wp = H + 2 * padding, W + 2 * padding
     oh = (Hp - kh) // stride + 1
     ow = (Wp - kw) // stride + 1
-    cols = cols.reshape(B, C, kh, kw, oh, ow)
-    dx = np.zeros((B, C, Hp, Wp), dtype=np.float64)
+    cols = cols.reshape(C, kh, kw, oh, ow, B)
+    dx = np.zeros((C, Hp, Wp, B), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+            dx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, i, j]
     if padding:
-        dx = dx[:, :, padding:-padding, padding:-padding]
-    return dx
+        dx = dx[:, padding:-padding, padding:-padding]
+    return dx.transpose(3, 0, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of (B,Cin,H,W) with (Cout,Cin,kh,kw) kernels."""
+    """2-D cross-correlation of (B,Cin,H,W) with (Cout,Cin,kh,kw) kernels.
+
+    The output, like im2col's columns, is a (B, Cout, oh, ow) view of
+    batch-innermost (Cout, oh, ow, B) memory: the forward pass is one GEMM of
+    the (Cout, F) kernels with the (F, oh*ow*B) columns, and the input
+    gradient one GEMM of their transpose with the output gradient.
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError("conv2d", x.data.shape, w.data.shape)
@@ -234,9 +254,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
     w2d = w.data.reshape(cout, cin * kh * kw)
-    out = np.matmul(w2d, cols).reshape(B, cout, oh, ow)
+    out = w2d @ cols.transpose(1, 2, 0).reshape(cin * kh * kw, oh * ow * B)
     if b is not None:
-        out += b.data[None, :, None, None]
+        out += b.data[:, None]
+    out = out.reshape(cout, oh, ow, B).transpose(3, 0, 1, 2)
 
     x_shape = x.data.shape
     w_shape = w.data.shape
@@ -245,15 +266,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     cols = cols if need_w else None  # the graph keeps the columns only for dw
 
     def vjp(g):
-        g2d = g.reshape(B, cout, oh * ow)
         dx = dw = db = None
         if need_x:
-            dx = _col2im(np.matmul(w2d.T, g2d), x_shape, kh, kw, stride, padding)
+            g2d = g.transpose(1, 2, 3, 0).reshape(cout, oh * ow * B)  # a view if g is batch-innermost
+            dx = _col2im(w2d.T @ g2d, x_shape, kh, kw, stride, padding)
+        if need_w or need_b:  # both sum in the order of a C-ordered g
+            g3d = np.ascontiguousarray(g).reshape(B, cout, oh * ow)
         if need_w:
-            # one GEMM of the (cout, B*P) gradient with the (B*P, F) columns
-            dw = np.tensordot(g2d, cols, axes=((0, 2), (0, 2))).reshape(w_shape)
+            # one GEMM of the C-ordered (cout, B*P) gradient with the
+            # C-ordered (B*P, F) columns, both copied out by tensordot
+            dw = np.tensordot(g3d, cols, axes=((0, 2), (0, 2))).reshape(w_shape)
         if need_b:
-            db = g.sum(axis=(0, 2, 3))
+            db = g3d.sum(axis=(0, 2))
         return dx, dw, db
 
     parents = (x, w) if b is None else (x, w, b)
@@ -270,6 +294,10 @@ def maxpool2d(x: Tensor, size: int) -> Tensor:
     where that slot beat the running maximum; the backward pass scans the
     masks in reverse, so the gradient goes to the window's first maximal
     element in row-major order and every other element gets +0.0.
+
+    Every array is indexed in the conv stack's (C, H, W, B) memory order, so
+    numpy walks batch-innermost data without permuting axes; the output is a
+    (B, C, oh, ow) view of (C, oh, ow, B) memory.
     """
     x = as_tensor(x)
     if x.data.ndim != 4:
@@ -278,32 +306,33 @@ def maxpool2d(x: Tensor, size: int) -> Tensor:
     if H < size or W < size:
         raise ShapeError("maxpool2d", x.data.shape, (size, size))
     hc, wc = H // size * size, W // size * size
-    slots = [(Ellipsis, slice(i, hc, size), slice(j, wc, size))
+    slots = [(slice(None), slice(i, hc, size), slice(j, wc, size))
              for i in range(size) for j in range(size)]
-    out = x.data[slots[0]].copy()
+    grid = x.data.transpose(1, 2, 3, 0)
+    pooled = grid[slots[0]].copy()
     masks = []
     for slot in slots[1:]:
-        view = x.data[slot]
+        view = grid[slot]
         if x.requires_grad:
-            masks.append(view > out)
-        np.maximum(view, out, out=out)  # ties keep the earlier slot's value
+            masks.append(view > pooled)
+        np.maximum(view, pooled, out=pooled)  # ties keep the earlier slot's value
 
     def vjp(g):
-        dx = np.empty(x.data.shape)  # the slots fill all of it but the cropped edges
-        dx[:, :, hc:] = 0.0
-        dx[:, :, :, wc:] = 0.0
+        dx = np.empty_like(grid)  # the slots fill all of it but the cropped edges
+        dx[:, hc:] = 0.0
+        dx[:, :, wc:] = 0.0
         # g where routed and +0.0 elsewhere, exactly for every value: g's bit
         # patterns times the 0/1 route, as integers (np.where is slower)
-        bits = g.view(np.int64)
-        free = np.ones(g.shape, dtype=bool)  # windows whose maximum is not yet placed
+        bits = g.transpose(1, 2, 3, 0).view(np.int64)
+        free = np.ones(pooled.shape, dtype=bool)  # windows whose maximum is not yet placed
         for slot, mask in zip(slots[:0:-1], masks[::-1]):
             route = mask & free
             free ^= route
             np.multiply(bits, route, out=dx[slot].view(np.int64))
         np.multiply(bits, free, out=dx[slots[0]].view(np.int64))
-        return (dx,)
+        return (dx.transpose(3, 0, 1, 2),)
 
-    return _node(out, (x,), vjp)
+    return _node(pooled.transpose(3, 0, 1, 2), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,8 @@ def detection_accuracy(labels, scores, threshold: float = 0.5) -> float:
     """Fraction of samples on the correct side of the threshold; scores at
     or above the threshold predict anomalous."""
     labels = _check_binary(labels)
+    if len(labels) == 0:
+        raise ValueError("detection_accuracy of an empty set of labels and scores")
     pred = (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.int64)
     return float((pred == labels).mean())
 

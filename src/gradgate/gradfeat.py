@@ -28,8 +28,9 @@ from .autodiff import Tensor, as_tensor, backward, bce_with_logits
 from .nn import FORWARD_BLOCK, map_blocks
 
 UNLABELED = -1
-# Samples per batched backward pass. Larger chunks run faster (on one core,
-# about 3,100 samples/s at 4 and 4,000 at 8) but hold a larger graph, about
+# Samples per batched backward pass. Larger chunks run faster up to a point
+# (small CNN, one x86-64 core, BLAS on one thread: about 4,900 samples/s at
+# 4, 7,000 at 8 and 6,200 at 16) but hold a larger graph, about
 # 0.2 MB per sample; at 4 scoring peaks at the memory of one sample at a time.
 CHUNK_SIZE = 4
 
@@ -180,8 +181,10 @@ def _chunk_features(model, chunk: np.ndarray, label: ConfoundingLabel) -> np.nda
 def _per_sample_sq_norms(tap, g: np.ndarray):
     """Squared norms of each sample's weight and bias gradients for one layer."""
     if tap.inputs.ndim == 3:  # conv: g (B, cout, P), columns (B, F, P)
-        g = g.reshape(len(g), g.shape[1], -1)
-        dw = np.matmul(g, tap.inputs.transpose(0, 2, 1))
+        # copied to C order, so each sample's product and sums run as on
+        # (B, C, H, W)-stored data
+        g = np.ascontiguousarray(g).reshape(len(g), g.shape[1], -1)
+        dw = np.matmul(g, np.ascontiguousarray(tap.inputs).transpose(0, 2, 1))
         db = g.sum(axis=2)
         return (dw * dw).sum(axis=(1, 2)), (db * db).sum(axis=1)
     g2 = (g * g).sum(axis=1)
@@ -193,7 +196,8 @@ def extract_activation_features(model, images: np.ndarray, source_tag: str = "")
     frozen = model.frozen()
 
     def layer_norms(block):
-        flat = [a.data.reshape(len(a.data), math.prod(a.data.shape[1:]))
+        # C order, so each row sums as it would on (B, C, H, W)-stored data
+        flat = [np.ascontiguousarray(a.data).reshape(len(a.data), math.prod(a.data.shape[1:]))
                 for a in frozen.forward(block)[1]]
         return np.stack([np.sqrt((f ** 2).sum(axis=1)) for f in flat], axis=1)
 

@@ -198,7 +198,7 @@ class TrainConfig:
 class LayerTap:
     """What one layer's per-example parameter gradients are built from."""
 
-    inputs: np.ndarray  # conv: im2col columns (B, F, P); dense: activations (B, F)
+    inputs: np.ndarray  # conv: im2col's batch-innermost (B, F, P) columns; dense: layer input (B, F)
     pre: Tensor         # the pre-activation node, which requires a gradient
 
 
@@ -330,6 +330,8 @@ def map_blocks(fn, x: np.ndarray, block: int) -> np.ndarray:
 
 
 def accuracy(model: Classifier, images: np.ndarray, labels: np.ndarray) -> float:
+    if len(labels) == 0:
+        raise ValueError("accuracy of an empty set of images and labels")
     return int((model.predict(images) == labels).sum()) / len(labels)
 
 

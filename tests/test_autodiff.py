@@ -64,6 +64,50 @@ def maxpool_reference(x, size, g):
     return out, dx
 
 
+def conv2d_nchw_reference(x, w, b, g, stride, padding):
+    """conv2d as it ran on (B, C, H, W) memory: im2col into (B, F, P)
+    columns, one matmul per sample, the column gradient scattered back in
+    (i, j) order, and tensordot for the kernel gradient. Returns the output
+    and (dx, dw, db) for output gradient g."""
+    B, C, H, W = x.shape
+    cout, _, kh, kw = w.shape
+    if padding:
+        padded = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        padded[:, :, padding:padding + H, padding:padding + W] = x
+        x = padded
+    Hp, Wp = x.shape[2:]
+    oh, ow = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
+    cols = np.empty((B, C, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    cols = cols.reshape(B, C * kh * kw, oh * ow)
+    w2d = w.reshape(cout, C * kh * kw)
+    out = np.matmul(w2d, cols).reshape(B, cout, oh, ow)
+    out += b[None, :, None, None]
+    g = np.ascontiguousarray(g)
+    g2d = g.reshape(B, cout, oh * ow)
+    dcols = np.matmul(w2d.T, g2d).reshape(B, C, kh, kw, oh, ow)
+    dx = np.zeros((B, C, Hp, Wp))
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
+    dx = dx[:, :, padding:Hp - padding, padding:Wp - padding]
+    dw = np.tensordot(g2d, cols, axes=((0, 2), (0, 2))).reshape(w.shape)
+    db = g.sum(axis=(0, 2, 3))
+    return out, (dx, dw, db)
+
+
+def batch_innermost(a):
+    """A copy of the (B, ...) array ``a`` stored with the batch axis
+    innermost, viewed with a's shape."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+def is_batch_innermost(a) -> bool:
+    return np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
 def classifier_sgd_reference(params, grads, velocity, lr, momentum, weight_decay):
     """The update loop nn.train_classifier ran inline before sgd_step."""
     for p, v in zip(params, velocity):
@@ -516,3 +560,60 @@ class TestMaxpoolMasks:
         out = maxpool2d(Tensor(arr), 2)
         assert not out.requires_grad
         assert out.data.tobytes() == maxpool_reference(arr, 2, np.zeros(out.data.shape))[0].tobytes()
+
+
+CONV_SHAPES = {  # cin, cout, input side, stride, padding; 3x3 kernels
+    "small-cnn-layer0": (1, 8, 16, 1, 1),
+    "small-cnn-layer1": (8, 16, 8, 1, 1),
+    "stride2-pad0": (3, 4, 9, 2, 0),
+}
+
+
+class TestBatchInnermostLayout:
+    """The conv stack stores its data batch-innermost; each op gives the
+    bytes of its (B, C, H, W)-memory form, whichever way its inputs and
+    output gradients are stored."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 4, 5, 64, 100, 257])
+    @pytest.mark.parametrize("shape", list(CONV_SHAPES))
+    def test_conv2d_matches_nchw_reference_bytewise(self, batch, shape):
+        cin, cout, side, stride, padding = CONV_SHAPES[shape]
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, cin, side, side))
+        w = rng.standard_normal((cout, cin, 3, 3))
+        b = rng.standard_normal(cout)
+        o = (side + 2 * padding - 3) // stride + 1
+        g = rng.standard_normal((batch, cout, o, o))
+        out_ref, grads_ref = conv2d_nchw_reference(x, w, b, g, stride, padding)
+        for xin in (x, batch_innermost(x)):
+            out = conv2d(Tensor(xin, requires_grad=True), Tensor(w, requires_grad=True),
+                         Tensor(b, requires_grad=True), stride=stride, padding=padding)
+            assert is_batch_innermost(out.data)
+            assert out.data.tobytes() == out_ref.tobytes()
+            for gin in (g, batch_innermost(g)):
+                for name, got, want in zip(("dx", "dw", "db"), out._vjp(gin), grads_ref):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_relu_and_maxpool_keep_the_layout_and_the_bytes(self, batch):
+        rng = np.random.default_rng(70 + batch)
+        arr = rng.integers(-2, 3, size=(batch, 3, 9, 6)).astype(float)  # many ties
+        for op in (relu, lambda t: maxpool2d(t, 2)):
+            c_out = op(Tensor(arr, requires_grad=True))
+            g = rng.standard_normal(c_out.data.shape)
+            c_dx = c_out._vjp(g)[0]
+            bi_out = op(Tensor(batch_innermost(arr), requires_grad=True))
+            assert is_batch_innermost(bi_out.data)
+            assert bi_out.data.tobytes() == c_out.data.tobytes()
+            assert bi_out._vjp(g)[0].tobytes() == c_dx.tobytes()
+            dx = bi_out._vjp(batch_innermost(g))[0]
+            assert is_batch_innermost(dx)
+            assert dx.tobytes() == c_dx.tobytes()
+
+    def test_reshape_flattens_batch_innermost_data_in_c_order(self):
+        arr = np.random.default_rng(80).standard_normal((6, 4, 3, 3))
+        w = np.random.default_rng(81).standard_normal((36, 5))
+        flat = ad.reshape(Tensor(batch_innermost(arr)), (6, 36)).data
+        assert flat.flags.c_contiguous
+        assert flat.tobytes() == arr.reshape(6, 36).tobytes()
+        assert matmul(flat, w).data.tobytes() == (arr.reshape(6, 36) @ w).tobytes()

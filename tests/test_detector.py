@@ -222,6 +222,10 @@ class TestDetectionAccuracy:
     def test_all_correct(self):
         assert detection_accuracy(np.array([0, 1]), np.array([0.1, 0.9])) == 1.0
 
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            detection_accuracy(np.zeros(0, dtype=np.int64), np.zeros(0))
+
 
 class TestMsp:
     @pytest.fixture

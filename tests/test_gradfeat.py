@@ -256,6 +256,47 @@ class TestActivationFeatures:
         assert np.all(fs.values >= 0.0)
 
 
+class TestLayout:
+    """The conv stack's batch-innermost layout ends at the flatten: what
+    leaves the classifier is C-ordered, and features do not depend on how a
+    conv activation is stored."""
+
+    @pytest.fixture
+    def c_ordered_convs(self, monkeypatch):
+        """Conv outputs copied to C order, as they were stored before."""
+        import gradgate.nn as nn_module
+
+        conv2d = nn_module.conv2d
+
+        def c_ordered(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            out.data = np.ascontiguousarray(out.data)
+            return out
+
+        monkeypatch.setattr(nn_module, "conv2d", c_ordered)
+
+    def test_outputs_are_c_ordered(self, cnn):
+        images = gen_glyphs(CHUNK_SIZE + 3, seed=27).images
+        acts = cnn.frozen().forward(images)[1]
+        assert not acts[0].data.flags.c_contiguous  # a batch-innermost conv activation
+        assert cnn.logits(images).flags.c_contiguous
+        assert extract_activation_features(cnn, images).values.flags.c_contiguous
+        label = make_confounding_label(10)
+        assert extract_gradient_features(cnn, images, label).values.flags.c_contiguous
+
+    def test_features_match_c_ordered_activations_bytewise(self, cnn, request):
+        images = gen_glyphs(2 * CHUNK_SIZE + 1, seed=28).images
+        label = make_confounding_label(10)
+        got = [extract_gradient_features(cnn, images, label).values,
+               extract_activation_features(cnn, images).values, cnn.logits(images)]
+        request.getfixturevalue("c_ordered_convs")
+        assert cnn.frozen().forward(images)[1][0].data.flags.c_contiguous
+        want = [extract_gradient_features(cnn, images, label).values,
+                extract_activation_features(cnn, images).values, cnn.logits(images)]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 class TestNormSummary:
     def test_single_sample_collapses(self):
         summary = norm_summary(np.array([[2.0, 5.0]]), ["only"])

@@ -266,6 +266,11 @@ class TestCheckpoint:
         acc = accuracy(model, ds.images, ds.labels)
         assert 0.0 <= acc <= 1.0
 
+    def test_accuracy_of_empty_set_raises(self):
+        model = build_classifier(mlp(num_classes=2, input_shape=(1, 4, 4)), seed=0)
+        with pytest.raises(ValueError, match="empty"):
+            accuracy(model, np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=np.int64))
+
     def test_fixed_seed_checkpoint_digest_is_frozen(self, tmp_path):
         # golden digest: initialization, normalization, and serialization
         # must all stay bit-stable across runs
