@@ -87,10 +87,11 @@ def add(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         return _node(a.data + float(b), (a,), lambda g: (g,))
     b = as_tensor(b)
+    need_b = b.requires_grad
     if a.data.shape == b.data.shape:
-        return _node(a.data + b.data, (a, b), lambda g: (g, g))
+        return _node(a.data + b.data, (a, b), lambda g: (g, g if need_b else None))
     if _bias_broadcastable(a, b):
-        return _node(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
+        return _node(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0) if need_b else None))
     raise ShapeError("add", a.data.shape, b.data.shape)
 
 
@@ -99,10 +100,11 @@ def sub(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         return _node(a.data - float(b), (a,), lambda g: (g,))
     b = as_tensor(b)
+    need_b = b.requires_grad
     if a.data.shape == b.data.shape:
-        return _node(a.data - b.data, (a, b), lambda g: (g, -g))
+        return _node(a.data - b.data, (a, b), lambda g: (g, -g if need_b else None))
     if _bias_broadcastable(a, b):
-        return _node(a.data - b.data, (a, b), lambda g: (g, -g.sum(axis=0)))
+        return _node(a.data - b.data, (a, b), lambda g: (g, -g.sum(axis=0) if need_b else None))
     raise ShapeError("sub", a.data.shape, b.data.shape)
 
 
@@ -112,11 +114,15 @@ def mul(a: Tensor, b) -> Tensor:
         s = float(b)
         return _node(a.data * s, (a,), lambda g: (g * s,))
     b = as_tensor(b)
+    need_a, need_b = a.requires_grad, b.requires_grad
     if a.data.shape == b.data.shape:
-        return _node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+        return _node(a.data * b.data, (a, b),
+                     lambda g: (g * b.data if need_a else None,
+                                g * a.data if need_b else None))
     if _bias_broadcastable(a, b):
         return _node(a.data * b.data, (a, b),
-                     lambda g: (g * b.data, (g * a.data).sum(axis=0)))
+                     lambda g: (g * b.data if need_a else None,
+                                (g * a.data).sum(axis=0) if need_b else None))
     raise ShapeError("mul", a.data.shape, b.data.shape)
 
 
@@ -231,57 +237,46 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
     return dx.transpose(3, 0, 1, 2)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of (B,Cin,H,W) with (Cout,Cin,kh,kw) kernels.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation of (B,Cin,H,W) with (Cout,Cin,kh,kw) kernels
+    plus a (Cout,) bias.
 
     The output, like im2col's columns, is a (B, Cout, oh, ow) view of
     batch-innermost (Cout, oh, ow, B) memory: the forward pass is one GEMM of
-    the (Cout, F) kernels with the (F, oh*ow*B) columns, and the input
-    gradient one GEMM of their transpose with the output gradient.
+    the (Cout, F) kernels with the (F, oh*ow*B) columns. The backward pass
+    reads the output gradient as one (Cout, oh*ow*B) matrix g2d: dx is
+    ``w2d.T @ g2d`` scattered back, dw is ``g2d @ cols2d.T``, db g2d's row sums.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError("conv2d", x.data.shape, w.data.shape)
     cout, cin, kh, kw = w.data.shape
     B, _, H, W = x.data.shape
     if H + 2 * padding < kh or W + 2 * padding < kw:
         raise ShapeError("conv2d", x.data.shape, w.data.shape)
-    if b is not None:
-        b = as_tensor(b)
-        if b.data.shape != (cout,):
-            raise ShapeError("conv2d bias", b.data.shape, (cout,))
+    if b.data.shape != (cout,):
+        raise ShapeError("conv2d bias", b.data.shape, (cout,))
 
     cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
     w2d = w.data.reshape(cout, cin * kh * kw)
-    out = w2d @ cols.transpose(1, 2, 0).reshape(cin * kh * kw, oh * ow * B)
-    if b is not None:
-        out += b.data[:, None]
+    cols2d = cols.transpose(1, 2, 0).reshape(cin * kh * kw, oh * ow * B)  # a view
+    out = w2d @ cols2d
+    out += b.data[:, None]
     out = out.reshape(cout, oh, ow, B).transpose(3, 0, 1, 2)
 
     x_shape = x.data.shape
     w_shape = w.data.shape
-    need_x, need_w = x.requires_grad, w.requires_grad
-    need_b = b is not None and b.requires_grad
-    cols = cols if need_w else None  # the graph keeps the columns only for dw
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    cols2d = cols2d if need_w else None  # the graph keeps the columns only for dw
 
     def vjp(g):
-        dx = dw = db = None
-        if need_x:
-            g2d = g.transpose(1, 2, 3, 0).reshape(cout, oh * ow * B)  # a view if g is batch-innermost
-            dx = _col2im(w2d.T @ g2d, x_shape, kh, kw, stride, padding)
-        if need_w or need_b:  # both sum in the order of a C-ordered g
-            g3d = np.ascontiguousarray(g).reshape(B, cout, oh * ow)
-        if need_w:
-            # one GEMM of the C-ordered (cout, B*P) gradient with the
-            # C-ordered (B*P, F) columns, both copied out by tensordot
-            dw = np.tensordot(g3d, cols, axes=((0, 2), (0, 2))).reshape(w_shape)
-        if need_b:
-            db = g3d.sum(axis=(0, 2))
+        g2d = g.transpose(1, 2, 3, 0).reshape(cout, oh * ow * B)  # a view if g is batch-innermost
+        dx = _col2im(w2d.T @ g2d, x_shape, kh, kw, stride, padding) if need_x else None
+        dw = (g2d @ cols2d.T).reshape(w_shape) if need_w else None
+        db = g2d.sum(axis=1) if need_b else None
         return dx, dw, db
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out, parents, vjp)
+    return _node(out, (x, w, b), vjp)
 
 
 def maxpool2d(x: Tensor, size: int) -> Tensor:

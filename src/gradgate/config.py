@@ -96,7 +96,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.idx_images and self.idx_labels):
             raise ValueError("idx dataset needs idx_images and idx_labels paths")
-        if not 0 < self.train_fraction + self.val_fraction < 1:
+        for key in ("train_fraction", "val_fraction", "detector_learning_rate"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not self.train_fraction + self.val_fraction < 1:
             raise ValueError("train and val fractions must leave room for a test split")
         for kind in self.ood_kinds:
             if kind not in OOD_KINDS:
@@ -111,9 +114,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
         if 0 < self.attack_count < 3:  # it also sizes the clean set, which must fill the split
             raise ValueError(f"attack_count must be 0 or >= 3, got {self.attack_count}")
-        if not self.detector_learning_rate > 0:
-            raise ValueError(f"detector_learning_rate must be > 0, "
-                             f"got {self.detector_learning_rate}")
         # each stage's own config checks its keys: these raise on a bad
         # training or attack value, a malformed arch string, an unknown
         # attack or label kind, or a k-hot k outside [2, num_classes]

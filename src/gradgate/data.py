@@ -251,10 +251,12 @@ def load_dataset(path) -> Dataset:
     named = dict(records)
     if set(named) != {"images", "labels"}:
         raise storage.RecordError(f"dataset records {sorted(named)} != ['images', 'labels']")
-    images = named["images"]
-    labels = named["labels"].astype(np.int64)
+    images, labels = named["images"], named["labels"]
     if images.ndim != 4 or len(labels) != len(images):
         raise storage.RecordError("dataset image/label shapes inconsistent")
+    if not (np.isfinite(labels) & (labels >= -1) & (labels == np.floor(labels))).all():
+        raise storage.RecordError("dataset labels must be finite integers >= -1")
     if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
         raise storage.RecordError("dataset pixels must be finite and in [0, 1]")
-    return Dataset(images, labels, metadata.get("source_tag", ""), int(metadata.get("seed", 0)))
+    return Dataset(images, labels.astype(np.int64), metadata.get("source_tag", ""),
+                   int(metadata.get("seed", 0)))

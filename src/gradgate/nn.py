@@ -252,15 +252,13 @@ class Classifier:
 
         activations = []
         it = iter(self.params)
-        flattened = False
         for layer in self.arch.layers:
             weight, bias = next(it).tensor, next(it).tensor
             if isinstance(layer, ConvLayer):
                 pre = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding)
             else:
-                if not flattened:
+                if t.data.ndim == 4:  # the first dense layer flattens
                     t = reshape(t, (batch, math.prod(t.data.shape[1:])))
-                    flattened = True
                 pre = matmul(t, weight) + bias
             if taps is not None:
                 if isinstance(layer, ConvLayer):
@@ -405,7 +403,8 @@ def save_checkpoint(model: Classifier, path) -> None:
 
 def load_checkpoint(path) -> Classifier:
     """Rebuild a classifier bit-exactly; rejects records whose names or
-    shapes disagree with the stored architecture."""
+    shapes disagree with the stored architecture, non-finite parameters,
+    and normalization stats that are non-finite or, for the std, not > 0."""
     metadata, records = storage.read_container(path, CHECKPOINT_MAGIC)
     arch = ArchSpec.from_string(metadata["arch"])
     model = build_classifier(arch, seed=int(metadata["seed"]))
@@ -418,8 +417,13 @@ def load_checkpoint(path) -> Classifier:
         if arr.shape != ps.tensor.data.shape:
             raise storage.RecordError(
                 f"{name}: shape {arr.shape} != expected {ps.tensor.data.shape}")
+        if not np.isfinite(arr).all():
+            raise storage.RecordError(f"{name}: non-finite parameter values")
         ps.tensor.data = arr.copy()
-    model.norm_mean = np.array([float(v) for v in metadata["norm_mean"].split(",")])
-    model.norm_std = np.array([float(v) for v in metadata["norm_std"].split(",")])
+    for key, low in (("norm_mean", -np.inf), ("norm_std", 0.0)):
+        stat = np.array([float(v) for v in metadata[key].split(",")])
+        if not (np.isfinite(stat) & (stat > low)).all():
+            raise storage.RecordError(f"{key} must hold finite values > {low}, got {metadata[key]}")
+        setattr(model, key, stat)
     model.val_accuracy = float(metadata["val_accuracy"]) if metadata["val_accuracy"] else None
     return model

@@ -165,7 +165,7 @@ class TestForwardValues:
     def test_conv2d_all_ones(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 2, 2))
-        out = conv2d(Tensor(x), Tensor(w))
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
         assert out.data.shape == (1, 1, 2, 2)
         assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
@@ -281,7 +281,8 @@ class TestGradientChecks:
         rng = self.rng
         x = Tensor(rng.standard_normal((1, 1, 7, 7)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 1, 3, 3)) * 0.3, requires_grad=True)
-        build = lambda: tsum(conv2d(x, w, stride=2, padding=0) * conv2d(x, w, stride=2, padding=0))
+        b = Tensor(np.zeros(2))
+        build = lambda: tsum(conv2d(x, w, b, stride=2, padding=0) * conv2d(x, w, b, stride=2, padding=0))
         grad_matches_fd(build, [x, w], rng)
 
     def test_relu_maxpool(self):
@@ -374,6 +375,23 @@ class TestGradientSkipping:
         grad_matches_fd(lambda: softmax_cross_entropy(matmul(x, w) + b, t),
                         [p for p in (x, w, b) if p.requires_grad], self.rng)
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("right_shape", [(4, 3), (3,)])  # same shape, bias broadcast
+    def test_constant_right_operand_gets_no_gradient(self, op, right_shape):
+        a, b = self.leaves([(4, 3), right_shape], (True, False))
+        out = op(a, b)
+        da, db = out._vjp(np.ones(out.data.shape))
+        assert da is not None and db is None
+        grad_matches_fd(lambda: tsum(tanh(op(a, b))), [a], self.rng)
+
+    @pytest.mark.parametrize("right_shape", [(4, 3), (3,)])
+    def test_mul_constant_left_operand_gets_no_gradient(self, right_shape):
+        a, b = self.leaves([(4, 3), right_shape], (False, True))
+        out = a * b
+        da, db = out._vjp(np.ones(out.data.shape))
+        assert da is None and db is not None
+        grad_matches_fd(lambda: tsum(tanh(a * b)), [b], self.rng)
+
 
 class TestMaxpoolReshape:
     """maxpool2d's reshape must agree bit for bit with the window-loop
@@ -420,7 +438,7 @@ class TestInvariants:
             rng = np.random.default_rng(123)
             x = Tensor(rng.standard_normal((3, 1, 8, 8)))
             w = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
-            loss = tsum(maxpool2d(relu(conv2d(x, w, padding=1)), 2))
+            loss = tsum(maxpool2d(relu(conv2d(x, w, Tensor(np.zeros(2)), padding=1)), 2))
             return backward(loss)[w].tobytes()
 
         assert run() == run()
@@ -479,7 +497,7 @@ class TestShapeErrors:
 
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeError, match="conv2d"):
-            conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+            conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))), Tensor(np.zeros(1)))
 
     def test_reshape_bad_size(self):
         with pytest.raises(ShapeError, match="reshape"):
@@ -584,15 +602,23 @@ class TestBatchInnermostLayout:
         b = rng.standard_normal(cout)
         o = (side + 2 * padding - 3) // stride + 1
         g = rng.standard_normal((batch, cout, o, o))
-        out_ref, grads_ref = conv2d_nchw_reference(x, w, b, g, stride, padding)
+        out_ref, (dx_ref, dw_ref, db_ref) = conv2d_nchw_reference(x, w, b, g, stride, padding)
+        _, (_, dw_mag, db_mag) = conv2d_nchw_reference(np.abs(x), w, b, np.abs(g), stride, padding)
         for xin in (x, batch_innermost(x)):
             out = conv2d(Tensor(xin, requires_grad=True), Tensor(w, requires_grad=True),
                          Tensor(b, requires_grad=True), stride=stride, padding=padding)
             assert is_batch_innermost(out.data)
             assert out.data.tobytes() == out_ref.tobytes()
-            for gin in (g, batch_innermost(g)):
-                for name, got, want in zip(("dx", "dw", "db"), out._vjp(gin), grads_ref):
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            (dx, dw, db), (dx_bi, dw_bi, db_bi) = (out._vjp(gin) for gin in (g, batch_innermost(g)))
+            assert dx.tobytes() == dx_ref.tobytes() and dx_bi.tobytes() == dx_ref.tobytes()
+            # the kernel and bias gradients sum over (position, sample)
+            # pairs in another order than the reference, so their last bits
+            # differ, by at most 1e-12 of the sum of the terms' magnitudes;
+            # they do not depend on how g is stored
+            assert dw.shape == dw_ref.shape and db.shape == db_ref.shape
+            assert np.all(np.abs(dw - dw_ref) <= 1e-12 * dw_mag)
+            assert np.all(np.abs(db - db_ref) <= 1e-12 * db_mag)
+            assert dw_bi.tobytes() == dw.tobytes() and db_bi.tobytes() == db.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 5, 64])
     def test_relu_and_maxpool_keep_the_layout_and_the_bytes(self, batch):

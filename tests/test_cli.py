@@ -87,6 +87,8 @@ class TestConfig:
         ("detector_patience", 0), ("detector_epochs", 0), ("cw_iterations", 0),
         ("alpha", 0.0), ("cw_c", 0.0), ("iterations", 0), ("cw_lr", float("nan")), ("cw_lr", 0.0),
         ("cw_c", float("inf")), ("train_fraction", float("nan")), ("epochs", -1),
+        ("train_fraction", -0.1), ("train_fraction", 0.0), ("val_fraction", 0.0),
+        ("val_fraction", -0.1),
         ("learning_rate", 0.0), ("momentum", 1.0), ("detector_batch_size", 0),
         ("detector_learning_rate", 0.0), ("detector_learning_rate", float("inf"))])
     def test_out_of_range_value_rejected(self, tiny_config, key, value):

@@ -232,3 +232,22 @@ class TestDatasetPixelCheck:
         path = tmp_path / "ends.gdata"
         save_dataset(ds, path)
         assert load_dataset(path).images.tobytes() == ds.images.tobytes()
+
+
+class TestDatasetLabelCheck:
+    @pytest.mark.parametrize("bad", [0.5, -2.0, -1.5, np.nan, np.inf, -np.inf])
+    def test_bad_label_rejected(self, tmp_path, bad):
+        ds = gen_glyphs(6, seed=13)
+        labels = ds.labels.astype(np.float64)
+        labels[3] = bad
+        path = tmp_path / "bad.gdata"
+        storage.write_container(path, b"GDATA", {}, [("images", ds.images), ("labels", labels)])
+        with pytest.raises(storage.RecordError, match="labels"):
+            load_dataset(path)
+
+    def test_unlabeled_and_class_labels_accepted(self, tmp_path):
+        ds = gen_glyphs(6, seed=14)
+        ds.labels[:2] = -1
+        path = tmp_path / "ok.gdata"
+        save_dataset(ds, path)
+        assert load_dataset(path).labels.tobytes() == ds.labels.tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,25 @@ class TestCheckpoint:
         records[0] = ("layerX.weight", records[0][1])
         storage.write_container(path, b"GGATE", meta, records)
         with pytest.raises(storage.RecordError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        model, path = self.make_model(tmp_path)
+        ps = model.params[2]
+        ps.tensor.data.flat[3] = bad
+        save_checkpoint(model, path)
+        with pytest.raises(storage.RecordError, match=re.escape(ps.name)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,bad", [
+        ("norm_mean", np.nan), ("norm_mean", -np.inf), ("norm_std", np.nan),
+        ("norm_std", np.inf), ("norm_std", 0.0), ("norm_std", -0.5)])
+    def test_bad_normalization_rejected(self, tmp_path, key, bad):
+        model, path = self.make_model(tmp_path)
+        getattr(model, key)[0] = bad
+        save_checkpoint(model, path)
+        with pytest.raises(storage.RecordError, match=key):
             load_checkpoint(path)
 
     def test_accuracy_helper(self):
