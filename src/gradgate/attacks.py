@@ -1,6 +1,6 @@
 """Adversarial input generation against a trained classifier.
 
-All attacks operate on raw pixels in [0, 1]; the model applies its frozen
+All attacks operate on raw pixels in [0, 1]; the model applies its fixed
 normalization inside the forward pass, so pixel gradients include the
 normalization Jacobian. Norm-bounded attacks track the accumulated
 perturbation directly, which keeps the L-infinity budget exact; fgsm is

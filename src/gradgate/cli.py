@@ -54,12 +54,12 @@ def ensure_classifier(cfg: ExperimentConfig, out: Path):
     train, val, _ = make_splits(cfg)
     model = nn.build_classifier(cfg.arch_spec(), seed=child_seed(cfg.master_seed, "init"))
     model, history = nn.train_classifier(model, train, val, cfg.train_config())
-    nn.save_checkpoint(model, path)
     with storage.atomic_open(_artifact(cfg, out, "history", "txt")) as fh:
         for h in history:
             fh.write(f"epoch={h['epoch']} train_loss={h['train_loss']:.6f} "
                      f"train_accuracy={h['train_accuracy']:.4f} "
                      f"val_accuracy={h['val_accuracy']:.4f}\n")
+    nn.save_checkpoint(model, path)  # last: the checkpoint's existence means "done"
     return model, path
 
 
@@ -85,7 +85,7 @@ def ensure_anomalies(cfg: ExperimentConfig, model, out: Path) -> dict:
             ds = data.Dataset(test.images, test.labels, tag, test.seed)
         elif origin == "adv":
             acfg = cfg.attack_config(kind)
-            result = attacks.run_attack(model.frozen(), test.images, test.labels, acfg)
+            result = attacks.run_attack(model, test.images, test.labels, acfg)
             _gate_attack(kind, result, acfg)
             ds = data.Dataset(result.images, test.labels, tag, acfg.seed)
         else:

@@ -175,7 +175,7 @@ class DetectorMLP:
         rng = np.random.default_rng(seed)
         b1 = 1.0 / np.sqrt(input_dim)
         b2 = 1.0 / np.sqrt(hidden)
-        self.params = [Tensor(rng.uniform(-b, b, size=shape), requires_grad=True)
+        self.params = [Tensor(rng.uniform(-b, b, size=shape))
                        for b, shape in ((b1, (input_dim, hidden)), (b1, hidden),
                                         (b2, (hidden, 1)), (b2, 1))]
         self.mean = train_values.mean(axis=0)
@@ -185,10 +185,10 @@ class DetectorMLP:
     def standardize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def logit(self, std_values: np.ndarray, frozen: bool = False) -> Tensor:
-        """Detector logits; with ``frozen`` the parameters enter as constants,
-        so no graph is kept."""
-        w1, b1, w2, b2 = [Tensor(p.data) for p in self.params] if frozen else self.params
+    def logit(self, std_values: np.ndarray, params: list) -> Tensor:
+        """Detector logits through ``params``: the constant :attr:`params`,
+        or requires-grad tensors over the same arrays while training."""
+        w1, b1, w2, b2 = params
         h = relu(matmul(Tensor(std_values), w1) + b1)
         return matmul(h, w2) + b2
 
@@ -197,7 +197,7 @@ class DetectorMLP:
         the endpoints only when a logit exceeds float64 resolution."""
         if values.shape[1] != self.input_dim:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
-        return stable_sigmoid(self.logit(self.standardize(values), frozen=True).data[:, 0])
+        return stable_sigmoid(self.logit(self.standardize(values), self.params).data[:, 0])
 
 
 MOMENTUM = 0.9
@@ -220,7 +220,8 @@ def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: i
     best_auroc = -1.0
     best = [p.data.copy() for p in det.params]
     stale = 0
-    for _ in sgd_epochs(det.params, lambda idx: bce_with_logits(det.logit(x[idx]), y[idx]),
+    live = [Tensor(p.data, requires_grad=True) for p in det.params]
+    for _ in sgd_epochs(live, lambda idx: bce_with_logits(det.logit(x[idx], live), y[idx]),
                         len(train), batch_size, np.random.SeedSequence(entropy=(seed, 2)),
                         max_epochs, lr=learning_rate, momentum=MOMENTUM, weight_decay=0.0):
         val_auroc = auroc(val.anomaly_labels, det.score(val.values))

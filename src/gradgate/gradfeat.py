@@ -154,8 +154,7 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
     - dense weight: ||a_i||^2 * ||g_i||^2
     - dense bias: ||g_i||^2
     """
-    frozen = model.frozen()
-    values = map_blocks(lambda chunk: _chunk_features(frozen, chunk, label), images, CHUNK_SIZE)
+    values = map_blocks(lambda chunk: _chunk_features(model, chunk, label), images, CHUNK_SIZE)
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if len(bad):
         raise FeatureError(f"non-finite gradient feature for sample {bad[0]} ({source_tag})")
@@ -189,12 +188,10 @@ def _per_sample_sq_norms(tap, g: np.ndarray):
 
 def extract_activation_features(model, images: np.ndarray, source_tag: str = "") -> FeatureSet:
     """Per-layer L2 norms of the post-nonlinearity outputs (forward only)."""
-    frozen = model.frozen()
-
     def layer_norms(block):
         # C order, so the norms do not depend on how the conv outputs are stored
         flat = [np.ascontiguousarray(a.data).reshape(len(a.data), math.prod(a.data.shape[1:]))
-                for a in frozen.forward(block)[1]]
+                for a in model.forward(block)[1]]
         return np.stack([np.sqrt((f ** 2).sum(axis=1)) for f in flat], axis=1)
 
     return unlabeled_features(map_blocks(layer_norms, images, FORWARD_BLOCK), source_tag)

@@ -130,18 +130,21 @@ class ArchSpec:
         parts = text.split("|")
         if len(parts) < 3 or not parts[0].startswith("in:") or not parts[-1].startswith("classes:"):
             raise ValueError(f"malformed arch string {text!r}")
-        input_shape = tuple(int(s) for s in parts[0].split(":")[1:])
-        num_classes = int(parts[-1].split(":")[1])
+        fields = [part.split(":") for part in parts]
+        for f in fields[1:]:
+            want = {"conv": 7, "dense": 3, "classes": 2}.get(f[0], len(f))
+            if len(f) != want:
+                raise ValueError(f"arch part {':'.join(f)!r} has {len(f)} fields, not {want}")
+        input_shape = tuple(int(s) for s in fields[0][1:])
+        num_classes = int(fields[-1][1])
         layers = []
-        for part in parts[1:-1]:
-            fields = part.split(":")
-            if fields[0] == "conv":
-                layers.append(ConvLayer(int(fields[1]), int(fields[2]), int(fields[3]),
-                                        int(fields[4]), fields[5], int(fields[6])))
-            elif fields[0] == "dense":
-                layers.append(DenseLayer(int(fields[1]), fields[2]))
+        for f in fields[1:-1]:
+            if f[0] == "conv":
+                layers.append(ConvLayer(int(f[1]), int(f[2]), int(f[3]), int(f[4]), f[5], int(f[6])))
+            elif f[0] == "dense":
+                layers.append(DenseLayer(int(f[1]), f[2]))
             else:
-                raise ValueError(f"unknown layer kind {fields[0]!r}")
+                raise ValueError(f"unknown layer kind {f[0]!r}")
         arch = ArchSpec(input_shape, tuple(layers), num_classes)
         arch.validate()
         return arch
@@ -171,7 +174,7 @@ def mlp(num_classes: int = 10, input_shape=(1, 16, 16), hidden: int = 64) -> Arc
 
 @dataclass
 class ParamSet:
-    """One trainable tensor (a layer's weight or bias) with a stable ordinal."""
+    """One parameter tensor (a layer's weight or bias) with a stable ordinal."""
 
     name: str
     tensor: Tensor
@@ -203,7 +206,7 @@ class LayerTap:
 
 
 class Classifier:
-    """Layer sequence + parameter store + frozen input normalization."""
+    """Layer sequence + constant parameters + fixed input normalization."""
 
     def __init__(self, arch: ArchSpec, params: list, norm_mean=None, norm_std=None,
                  seed: int = 0, val_accuracy: float | None = None):
@@ -238,8 +241,7 @@ class Classifier:
         When ``taps`` is a list, one :class:`LayerTap` per layer is appended
         to it and every pre-activation node requires a gradient. A backward
         pass then yields the gradient at each pre-activation, from which
-        per-example parameter gradients follow. Call it on :meth:`frozen`,
-        so that no summed parameter gradient is formed on the way.
+        per-example parameter gradients follow.
         """
         t = as_tensor(x)
         if t.data.ndim != 4 or t.data.shape[1:] != self.arch.input_shape:
@@ -276,19 +278,18 @@ class Classifier:
                 t = maxpool2d(t, layer.pool)
         return t, activations
 
-    def frozen(self) -> "Classifier":
-        """This classifier with each parameter a constant over the same
-        ndarray (no copy), so graphs built through it carry no parameter
-        gradient."""
-        params = [ParamSet(ps.name, Tensor(ps.tensor.data), ps.ordinal) for ps in self.params]
+    def trainable(self) -> "Classifier":
+        """This classifier with each parameter a requires-grad Tensor over the
+        same ndarray (no copy): graphs built through it carry parameter
+        gradients, and an in-place step on them updates this classifier."""
+        params = [ParamSet(ps.name, Tensor(ps.tensor.data, requires_grad=True), ps.ordinal)
+                  for ps in self.params]
         return Classifier(self.arch, params, self.norm_mean, self.norm_std,
                           self.seed, self.val_accuracy)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """Logits of the frozen classifier, ``FORWARD_BLOCK`` samples per
-        forward pass."""
-        frozen = self.frozen()
-        return map_blocks(lambda block: frozen.forward(block)[0].data, x, FORWARD_BLOCK)
+        """Logits, ``FORWARD_BLOCK`` samples per forward pass."""
+        return map_blocks(lambda block: self.forward(block)[0].data, x, FORWARD_BLOCK)
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)
@@ -313,8 +314,7 @@ def build_classifier(arch: ArchSpec, seed: int) -> Classifier:
         bound = 1.0 / np.sqrt(fan_in)
         for suffix, shape in (("weight", w_shape), ("bias", b_shape)):
             data = rng.uniform(-bound, bound, size=shape)
-            params.append(ParamSet(f"layer{i}.{suffix}", Tensor(data, requires_grad=True),
-                                   len(params)))
+            params.append(ParamSet(f"layer{i}.{suffix}", Tensor(data), len(params)))
         in_shape = shapes[i]
     return Classifier(arch, params, seed=seed)
 
@@ -369,12 +369,13 @@ def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
     if cfg.epochs == 0:
         return model, history
     model.set_normalization(train_set.images)
+    live = model.trainable()
 
     def batch_loss(idx):
-        return softmax_cross_entropy(model.forward(train_set.images[idx])[0],
+        return softmax_cross_entropy(live.forward(train_set.images[idx])[0],
                                      train_set.labels[idx])
 
-    epochs = sgd_epochs([ps.tensor for ps in model.params], batch_loss, len(train_set.labels),
+    epochs = sgd_epochs([ps.tensor for ps in live.params], batch_loss, len(train_set.labels),
                         cfg.batch_size, cfg.seed, cfg.epochs, lr=cfg.learning_rate,
                         momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     for epoch, losses in enumerate(epochs):

@@ -4,6 +4,7 @@ experiment pipeline once per session; run with -s to see the lines.
 """
 
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,11 +80,12 @@ class TestCriterion1Autodiff:
             logits, _ = model.forward(x)
             return float(softmax_cross_entropy(logits, y).data)
 
-        logits, _ = model.forward(x)
+        live = model.trainable()  # shares the arrays perturbed below
+        logits, _ = live.forward(x)
         grads = backward(softmax_cross_entropy(logits, y))
         h = 1e-5
         checked, worst = 0, 0.0
-        for ps in model.params:  # covers conv, bias, and dense layer types
+        for ps in live.params:  # covers conv, bias, and dense layer types
             flat = ps.tensor.data.reshape(-1)
             g = grads[ps.tensor].reshape(-1)
             for c in rng.choice(flat.size, size=min(16, flat.size), replace=False):
@@ -243,14 +245,15 @@ class TestCriterion7MethodInvariants:
         model = pipeline.model
         label = make_confounding_label(model.num_classes)
         images = pipeline.clean.images[:8]
+        live = model.trainable()
 
         # sign neutrality: features from +J and -J identical bitwise
         for i in range(4):
-            logits, _ = model.forward(images[i:i + 1])
+            logits, _ = live.forward(images[i:i + 1])
             loss = bce_confounding_loss(logits, label)
             pos = backward(loss)
             neg = backward(loss * -1.0)
-            for ps in model.params:
+            for ps in live.params:
                 fp = float(np.dot(pos[ps.tensor].reshape(-1), pos[ps.tensor].reshape(-1)))
                 fn = float(np.dot(neg[ps.tensor].reshape(-1), neg[ps.tensor].reshape(-1)))
                 assert fp == fn
@@ -259,11 +262,11 @@ class TestCriterion7MethodInvariants:
         k = 2.5
         worst = 0.0
         for i in range(4):
-            logits, _ = model.forward(images[i:i + 1])
+            logits, _ = live.forward(images[i:i + 1])
             loss = bce_confounding_loss(logits, label)
             base = backward(loss)
             scaled = backward(loss * k)
-            for ps in model.params:
+            for ps in live.params:
                 f1 = np.dot(base[ps.tensor].reshape(-1), base[ps.tensor].reshape(-1))
                 f2 = np.dot(scaled[ps.tensor].reshape(-1), scaled[ps.tensor].reshape(-1))
                 worst = max(worst, abs(f2 - k * k * f1) / (k * k * f1))
@@ -277,11 +280,8 @@ class TestCriterion7MethodInvariants:
         assert before.values.tobytes() == after.values.tobytes()
 
         # full pipeline determinism on a reduced config, two fresh directories
-        small = ExperimentConfig(dataset_count=400, epochs=2, attack_count=40,
-                                 attack_kinds=("fgsm", "cw", "semantic"),
-                                 cw_iterations=15, ood_kinds=("uniform-noise",),
-                                 ood_count=40, detector_epochs=30,
-                                 master_seed=13).validate()
+        small = ExperimentConfig.from_file(Path(__file__).resolve().parents[1]
+                                           / "configs" / "small.ini")
         run_experiment(small, tmp_path / "runA")
         run_experiment(small, tmp_path / "runB")
         rep_a = (tmp_path / "runA" / f"report-{small.digest()}.kv").read_bytes()

@@ -44,7 +44,7 @@ class ScalarLogistic:
 
 @pytest.fixture(scope="module")
 def tiny_model():
-    """A small trained-ish CNN: random init with frozen normalization."""
+    """A small trained-ish CNN: random init with fixed normalization."""
     model = build_classifier(small_cnn(num_classes=10, input_shape=(1, 16, 16)), seed=3)
     model.set_normalization(gen_glyphs(64, seed=0).images)
     return model
@@ -229,13 +229,35 @@ class TestConfigAndDispatch:
             fgsm(tiny_model, x, y, 0.05).images.tobytes()
 
 
-class TestFrozenModel:
+class TestConstantParameters:
+    """A plain classifier's parameters are constants, so an attack's graphs
+    carry only the input gradient."""
+
+    CFG = dict(epsilon=0.05, alpha=0.02, iterations=3, cw_iterations=6, seed=9)
+
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
-    def test_frozen_model_gives_byte_identical_results(self, tiny_model, batch, kind):
+    def test_backward_maps_hold_no_parameter(self, tiny_model, batch, kind, monkeypatch):
+        import gradgate.attacks as attacks_module
+        from gradgate.autodiff import backward
+
+        seen = []
+
+        def spy(root):
+            grads = backward(root)
+            seen.append(grads)
+            return grads
+
+        monkeypatch.setattr(attacks_module, "backward", spy)
+        run_attack(tiny_model, *batch, AttackConfig(kind=kind, **self.CFG))
+        assert bool(seen) == (kind != "semantic")  # pixel negation takes no gradient
+        for grads in seen:
+            assert not any(ps.tensor in grads for ps in tiny_model.params)
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_trainable_view_gives_byte_identical_results(self, tiny_model, batch, kind):
         x, y = batch
-        cfg = AttackConfig(kind=kind, epsilon=0.05, alpha=0.02, iterations=3,
-                           cw_iterations=6, seed=9)
-        live = run_attack(tiny_model, x, y, cfg)
-        frozen = run_attack(tiny_model.frozen(), x, y, cfg)
+        cfg = AttackConfig(kind=kind, **self.CFG)
+        const = run_attack(tiny_model, x, y, cfg)
+        live = run_attack(tiny_model.trainable(), x, y, cfg)
         for field in ("images", "success", "linf", "l2"):
-            assert getattr(frozen, field).tobytes() == getattr(live, field).tobytes(), field
+            assert getattr(live, field).tobytes() == getattr(const, field).tobytes(), field

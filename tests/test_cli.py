@@ -157,6 +157,26 @@ class TestTrainCommand:
         second = (other_out / f"classifier-{cfg2.digest()}.ggate").read_bytes()
         assert first == second
 
+    def test_checkpoint_is_written_after_the_history(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        out.mkdir()
+        cfg = ExperimentConfig.from_file(path)
+        atomic_open = storage.atomic_open
+
+        def history_write_fails(target, *args, **kwargs):
+            if Path(target).name.startswith("history-"):
+                raise OSError("no space left on device")
+            return atomic_open(target, *args, **kwargs)
+
+        monkeypatch.setattr(storage, "atomic_open", history_write_fails)
+        with pytest.raises(OSError):
+            cli.ensure_classifier(cfg, out)
+        assert list(out.iterdir()) == []  # no checkpoint claims the run is done
+        monkeypatch.undo()
+        cli.ensure_classifier(cfg, out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"classifier-{cfg.digest()}.ggate", f"history-{cfg.digest()}.txt"]
+
     def test_missing_idx_paths_fail(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[dataset]\ndataset_kind = idx\n")

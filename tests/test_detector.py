@@ -18,7 +18,7 @@ from gradgate.detector import (
     train_detector,
     ScoredSamples,
 )
-from gradgate.autodiff import stable_sigmoid
+from gradgate.autodiff import Tensor, stable_sigmoid
 from gradgate.gradfeat import FeatureSet
 from gradgate.nn import build_classifier, mlp
 
@@ -393,7 +393,7 @@ class TestDetectorTraining:
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=10)
         raw = train.values[:5]
         direct = det.score(raw)
-        manual_logit = det.logit(det.standardize(raw)).data[:, 0]
+        manual_logit = det.logit(det.standardize(raw), det.params).data[:, 0]
         np.testing.assert_allclose(direct, 1.0 / (1.0 + np.exp(-manual_logit)), rtol=1e-12)
 
     def test_score_holds_parameters_constant(self):
@@ -401,11 +401,12 @@ class TestDetectorTraining:
         train, val, _ = assemble_detection_sets(normal, anom, seed=5)
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=5)
         std = det.standardize(val.values)
-        frozen = det.logit(std, frozen=True)
-        assert not frozen.requires_grad
-        assert frozen.data.tobytes() == det.logit(std).data.tobytes()
+        live = [Tensor(p.data, requires_grad=True) for p in det.params]  # as training builds it
+        const = det.logit(std, det.params)
+        assert not const.requires_grad
+        assert const.data.tobytes() == det.logit(std, live).data.tobytes()
         assert det.score(val.values).tobytes() == \
-            stable_sigmoid(det.logit(std).data[:, 0]).tobytes()
+            stable_sigmoid(det.logit(std, live).data[:, 0]).tobytes()
 
     def test_dim_mismatch_rejected(self):
         normal, anom = separable_sets(seed=4)

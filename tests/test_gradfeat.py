@@ -33,13 +33,14 @@ def cnn():
 
 def per_sample_oracle(model, images, label):
     """One single-sample graph and backward pass per sample, reading the
-    summed parameter gradients directly."""
+    summed parameter gradients of the trainable view directly."""
+    live = model.trainable()
     rows = []
     for i in range(len(images)):
-        logits, _ = model.forward(images[i:i + 1])
+        logits, _ = live.forward(images[i:i + 1])
         grads = backward(bce_confounding_loss(logits, label))
         rows.append([float(np.dot(grads[ps.tensor].reshape(-1), grads[ps.tensor].reshape(-1)))
-                     for ps in model.params])
+                     for ps in live.params])
     return np.array(rows)
 
 
@@ -141,11 +142,12 @@ class TestGradientFeatures:
 
         image = gen_glyphs(1, seed=3).images
         label = make_confounding_label(10)
-        logits, _ = cnn.forward(image)
+        live = cnn.trainable()
+        logits, _ = live.forward(image)
         loss = bce_confounding_loss(logits, label)
         pos = backward(loss)
         neg = backward(loss * -1.0)
-        for ps in cnn.params:
+        for ps in live.params:
             fpos = float(np.dot(pos[ps.tensor].reshape(-1), pos[ps.tensor].reshape(-1)))
             fneg = float(np.dot(neg[ps.tensor].reshape(-1), neg[ps.tensor].reshape(-1)))
             assert fpos == fneg
@@ -156,11 +158,12 @@ class TestGradientFeatures:
         image = gen_glyphs(1, seed=4).images
         label = make_confounding_label(10)
         k = 3.75
-        logits, _ = cnn.forward(image)
+        live = cnn.trainable()
+        logits, _ = live.forward(image)
         loss = bce_confounding_loss(logits, label)
         base = backward(loss)
         scaled = backward(loss * k)
-        for ps in cnn.params:
+        for ps in live.params:
             f1 = np.dot(base[ps.tensor].reshape(-1), base[ps.tensor].reshape(-1))
             f2 = np.dot(scaled[ps.tensor].reshape(-1), scaled[ps.tensor].reshape(-1))
             assert abs(f2 - k * k * f1) <= 1e-10 * abs(k * k * f1)
@@ -277,7 +280,7 @@ class TestLayout:
 
     def test_outputs_are_c_ordered(self, cnn):
         images = gen_glyphs(CHUNK_SIZE + 3, seed=27).images
-        acts = cnn.frozen().forward(images)[1]
+        acts = cnn.forward(images)[1]
         assert not acts[0].data.flags.c_contiguous  # a batch-innermost conv activation
         assert cnn.logits(images).flags.c_contiguous
         assert extract_activation_features(cnn, images).values.flags.c_contiguous
@@ -290,7 +293,7 @@ class TestLayout:
         got = [extract_gradient_features(cnn, images, label).values,
                extract_activation_features(cnn, images).values, cnn.logits(images)]
         request.getfixturevalue("c_ordered_convs")
-        assert cnn.frozen().forward(images)[1][0].data.flags.c_contiguous
+        assert cnn.forward(images)[1][0].data.flags.c_contiguous
         want = [extract_gradient_features(cnn, images, label).values,
                 extract_activation_features(cnn, images).values, cnn.logits(images)]
         for g, w in zip(got, want):

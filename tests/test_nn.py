@@ -45,7 +45,7 @@ def separable_blobs(n_per_class=40, seed=0):
     return Dataset(images, labels, "blobs", seed)
 
 
-# Each pass of the frozen classifier over a set, and its output shape on no
+# Each forward-only pass of the classifier over a set, and its output shape on no
 # samples for small_cnn: 10 classes, 8 parameter sets, 4 layers.
 ZERO_ROW_PASSES = {
     "logits": (lambda model, x: model.logits(x), (0, 10)),
@@ -105,6 +105,14 @@ class TestBuild:
         arch = small_cnn(num_classes=7, input_shape=(1, 12, 12))
         assert ArchSpec.from_string(arch.to_string()) == arch
 
+    @pytest.mark.parametrize("part", ["conv:8:3", "dense:10", "conv:8:3:1:1:relu:2:junk",
+                                      "dense:10:none:1", "classes:10:9"])
+    def test_arch_part_with_wrong_field_count_rejected(self, part):
+        parts = ["in:1:16:16", "conv:8:3:1:1:relu:2", "dense:10:none", "classes:10"]
+        parts[["conv", "dense", "classes"].index(part.split(":")[0]) + 1] = part
+        with pytest.raises(ValueError, match=f"arch part '{part}' has"):
+            ArchSpec.from_string("|".join(parts))
+
 
 class TestForward:
     def test_zero_input_zero_bias_mlp(self):
@@ -136,7 +144,7 @@ class TestForward:
     def test_blocked_logits_equal_one_forward_pass(self):
         model = build_classifier(small_cnn(), seed=4)
         images = np.random.default_rng(5).uniform(size=(FORWARD_BLOCK + 2, 1, 16, 16))
-        whole = model.frozen().forward(images)[0].data
+        whole = model.forward(images)[0].data
         assert model.logits(images).tobytes() == whole.tobytes()
         assert np.array_equal(model.predict(images), np.argmax(whole, axis=1))
 
@@ -306,30 +314,40 @@ class TestCheckpoint:
         assert digest == "29130b73c5c6194305f42ec1861c1b6e94b06364e59628168c179c5982e17de4"
 
 
-class TestFrozen:
+class TestTrainable:
     def test_shares_the_parameter_arrays(self):
         model = build_classifier(small_cnn(), seed=0)
         model.set_normalization(np.random.default_rng(1).uniform(size=(8, 1, 16, 16)))
-        frozen = model.frozen()
-        assert len(frozen.params) == len(model.params)
-        for ps, fs in zip(model.params, frozen.params):
-            assert (fs.name, fs.ordinal) == (ps.name, ps.ordinal)
-            assert fs.tensor.data is ps.tensor.data
-            assert not fs.tensor.requires_grad
-        assert ps.tensor.requires_grad  # the model itself is untouched
-        assert frozen.arch == model.arch and frozen.norm_std is model.norm_std
+        live = model.trainable()
+        assert len(live.params) == len(model.params)
+        for ps, ls in zip(model.params, live.params):
+            assert (ls.name, ls.ordinal) == (ps.name, ps.ordinal)
+            assert ls.tensor.data is ps.tensor.data
+            assert ls.tensor.requires_grad
+            assert not ps.tensor.requires_grad  # the model itself stays constant
+        assert live.arch == model.arch and live.norm_std is model.norm_std
 
     def test_backward_gives_the_input_gradient_and_no_parameter_gradient(self):
         model = build_classifier(small_cnn(), seed=2)
         images = np.random.default_rng(3).uniform(size=(5, 1, 16, 16))
         labels = np.arange(5)
-        frozen = model.frozen()
+        live = model.trainable()
         x = Tensor(images, requires_grad=True)
-        grads = backward(softmax_cross_entropy(frozen.forward(x)[0], labels))
-        params = [ps.tensor for ps in model.params + frozen.params]
-        assert not any(p in grads for p in params)
+        grads = backward(softmax_cross_entropy(model.forward(x)[0], labels))
+        assert not any(ps.tensor in grads for ps in model.params)
         x_ref = Tensor(images, requires_grad=True)
-        grads_ref = backward(softmax_cross_entropy(model.forward(x_ref)[0], labels))
-        assert all(ps.tensor in grads_ref for ps in model.params)
+        grads_ref = backward(softmax_cross_entropy(live.forward(x_ref)[0], labels))
+        assert all(ps.tensor in grads_ref for ps in live.params)
         assert grads[x].tobytes() == grads_ref[x_ref].tobytes()
-        assert model.logits(images).tobytes() == model.forward(images)[0].data.tobytes()
+        assert model.logits(images).tobytes() == live.forward(images)[0].data.tobytes()
+
+    def test_an_epoch_updates_the_models_own_arrays(self):
+        train = separable_blobs(seed=0)
+        model = build_classifier(mlp(num_classes=2, input_shape=(1, 4, 4)), seed=0)
+        arrays = [ps.tensor.data for ps in model.params]
+        before = [a.copy() for a in arrays]
+        trained, _ = train_classifier(model, train, train, TrainConfig(epochs=1, seed=0))
+        assert trained is model
+        for ps, arr, old in zip(model.params, arrays, before):
+            assert ps.tensor.data is arr and not ps.tensor.requires_grad
+            assert not np.array_equal(arr, old)
