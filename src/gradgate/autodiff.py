@@ -237,7 +237,8 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
     return dx.transpose(3, 0, 1, 2)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
+           columns: list | None = None) -> Tensor:
     """2-D cross-correlation of (B,Cin,H,W) with (Cout,Cin,kh,kw) kernels
     plus a (Cout,) bias.
 
@@ -246,6 +247,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     the (Cout, F) kernels with the (F, oh*ow*B) columns. The backward pass
     reads the output gradient as one (Cout, oh*ow*B) matrix g2d: dx is
     ``w2d.T @ g2d`` scattered back, dw is ``g2d @ cols2d.T``, db g2d's row sums.
+
+    When ``columns`` is a list, im2col's (B, F, P) columns are appended to
+    it, so a caller that needs them (per-example kernel gradients) does not
+    gather the input again.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
@@ -258,6 +263,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise ShapeError("conv2d bias", b.data.shape, (cout,))
 
     cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
+    if columns is not None:
+        columns.append(cols)
     w2d = w.data.reshape(cout, cin * kh * kw)
     cols2d = cols.transpose(1, 2, 0).reshape(cin * kh * kw, oh * ow * B)  # a view
     out = w2d @ cols2d

@@ -186,18 +186,26 @@ class DetectorMLP:
         return (values - self.mean) / self.std
 
     def logit(self, std_values: np.ndarray, params: list) -> Tensor:
-        """Detector logits through ``params``: the constant :attr:`params`,
-        or requires-grad tensors over the same arrays while training."""
+        """Detector logits of a batch as one graph through ``params``;
+        training passes requires-grad tensors over the arrays of
+        :attr:`params`. :meth:`score` does not build this graph."""
         w1, b1, w2, b2 = params
         h = relu(matmul(Tensor(std_values), w1) + b1)
         return matmul(h, w2) + b2
 
     def score(self, values: np.ndarray) -> np.ndarray:
         """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
-        the endpoints only when a logit exceeds float64 resolution."""
+        the endpoints only when a logit exceeds float64 resolution.
+
+        Each row goes through its own (1, d) matrix products, so its score
+        does not depend on the rows scored with it: one (n, d) product would
+        let BLAS pick its kernel, and so the row's rounding, by ``n``.
+        """
         if values.shape[1] != self.input_dim:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
-        return stable_sigmoid(self.logit(self.standardize(values), self.params).data[:, 0])
+        w1, b1, w2, b2 = (p.data for p in self.params)
+        rows = self.standardize(values)[:, None, :]  # (n, 1, d)
+        return stable_sigmoid((np.maximum(rows @ w1 + b1, 0.0) @ w2 + b2)[:, 0, 0])
 
 
 MOMENTUM = 0.9

@@ -19,7 +19,6 @@ from .autodiff import (
     as_tensor,
     backward,
     conv2d,
-    im2col,
     matmul,
     maxpool2d,
     relu,
@@ -201,7 +200,7 @@ class TrainConfig:
 class LayerTap:
     """What one layer's per-example parameter gradients are built from."""
 
-    inputs: np.ndarray  # conv: im2col's batch-innermost (B, F, P) columns; dense: layer input (B, F)
+    inputs: np.ndarray  # conv: the (B, F, P) columns conv2d gathered; dense: layer input (B, F)
     pre: Tensor         # the pre-activation node, which requires a gradient
 
 
@@ -256,21 +255,18 @@ class Classifier:
         it = iter(self.params)
         for layer in self.arch.layers:
             weight, bias = next(it).tensor, next(it).tensor
+            columns = [] if taps is not None else None  # filled by a conv layer only
             if isinstance(layer, ConvLayer):
-                pre = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding)
+                pre = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding,
+                             columns=columns)
             else:
                 if t.data.ndim == 4:  # the first dense layer flattens
                     t = reshape(t, (batch, math.prod(t.data.shape[1:])))
                 pre = matmul(t, weight) + bias
             if taps is not None:
-                if isinstance(layer, ConvLayer):
-                    inputs = im2col(t.data, layer.kernel, layer.kernel,
-                                    layer.stride, layer.padding)[0]
-                else:
-                    inputs = t.data
                 if not pre.requires_grad:  # nothing upstream needs a gradient
                     pre = Tensor(pre.data, requires_grad=True)
-                taps.append(LayerTap(inputs, pre))
+                taps.append(LayerTap(columns[0] if columns else t.data, pre))
             act = relu(pre) if layer.activation == "relu" else pre
             activations.append(act)
             t = act

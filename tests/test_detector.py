@@ -405,8 +405,10 @@ class TestDetectorTraining:
         const = det.logit(std, det.params)
         assert not const.requires_grad
         assert const.data.tobytes() == det.logit(std, live).data.tobytes()
-        assert det.score(val.values).tobytes() == \
-            stable_sigmoid(det.logit(std, live).data[:, 0]).tobytes()
+        # score multiplies row by row (batch-invariant), the graph as one matrix
+        np.testing.assert_allclose(det.score(val.values),
+                                   stable_sigmoid(det.logit(std, live).data[:, 0]),
+                                   rtol=1e-14, atol=0.0)
 
     def test_dim_mismatch_rejected(self):
         normal, anom = separable_sets(seed=4)

@@ -6,6 +6,7 @@ import pytest
 from gradgate.attacks import fgsm
 from gradgate.autodiff import Tensor, backward
 from gradgate.data import gen_glyphs, gen_ood
+from gradgate.detector import DetectorMLP, score
 from gradgate.gradfeat import (
     CHUNK_SIZE,
     ConfoundingLabel,
@@ -225,19 +226,50 @@ class TestBatchedGradientFeatures:
             return grads
 
         monkeypatch.setattr(gf, "backward", spy)
-        extract_gradient_features(cnn, gen_glyphs(CHUNK_SIZE + 1, seed=25).images,
-                                  make_confounding_label(10))
-        assert len(seen) == 2  # one backward pass per chunk
+        label = make_confounding_label(10)
+        fs = extract_gradient_features(cnn, gen_glyphs(CHUNK_SIZE + 1, seed=25).images, label)
+        assert fs.values.shape == (CHUNK_SIZE + 1, 8)  # the tail of one gives one row
+        assert len(seen) == 2  # one backward pass per chunk, the padded tail's included
         for grads in seen:
             assert not any(ps.tensor in grads for ps in cnn.params)
+            assert all(g.shape[0] == CHUNK_SIZE for g in grads.values() if g.ndim)
+        seen.clear()
+        assert extract_gradient_features(cnn, np.zeros((0, 1, 16, 16)), label).values.shape == (0, 8)
+        assert len(seen) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN pixel is the point
     def test_non_finite_feature_names_first_bad_sample(self, cnn):
+        # with CHUNK_SIZE > 6 both bad samples lie in the zero-padded tail chunk
         images = gen_glyphs(CHUNK_SIZE + 6, seed=26).images
         images[CHUNK_SIZE + 2, 0, 3, 3] = np.nan
         images[CHUNK_SIZE + 4, 0, 5, 5] = np.inf
         with pytest.raises(FeatureError, match=f"sample {CHUNK_SIZE + 2} "):
             extract_gradient_features(cnn, images, make_confounding_label(10), "bad")
+
+
+class TestBatchInvariance:
+    """Every chunk runs at ``CHUNK_SIZE`` rows and the detector scores row by
+    row, so a sample's bytes do not depend on the request it comes in."""
+
+    @pytest.fixture(scope="class")
+    def whole(self, cnn, stream_sources):
+        """The stream sources extracted as one set, and a detector's scores of
+        them; the detector is left untrained, since only its arithmetic matters."""
+        images = np.concatenate(list(stream_sources.values()))
+        label = make_confounding_label(10)
+        fs = extract_gradient_features(cnn, images, label)
+        det = DetectorMLP(fs.values, hidden=64, seed=1)
+        return images, label, fs.values, det, score(det, fs).scores
+
+    @pytest.mark.parametrize("size", [1, 2, 3, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 37])
+    def test_request_rows_equal_whole_set_rows_bytewise(self, cnn, whole, size):
+        images, label, values, det, scores = whole
+        for offset in range(0, len(images) - size + 1, max(1, size // 2)):
+            fs = extract_gradient_features(cnn, images[offset:offset + size], label)
+            got = score(det, fs).scores
+            for i in range(size):
+                assert fs.values[i].tobytes() == values[offset + i].tobytes(), (offset, i)
+                assert got[i].tobytes() == scores[offset + i].tobytes(), (offset, i)
 
 
 class TestActivationFeatures:
