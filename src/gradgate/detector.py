@@ -186,9 +186,9 @@ class DetectorMLP:
         return (values - self.mean) / self.std
 
     def logit(self, std_values: np.ndarray, params: list) -> Tensor:
-        """Detector logits of a batch as one graph through ``params``;
-        training passes requires-grad tensors over the arrays of
-        :attr:`params`. :meth:`score` does not build this graph."""
+        """Detector logits of (n, d) rows, or of a stack of (1, d) rows,
+        through ``params``: the constant :attr:`params`, or requires-grad
+        tensors over the same arrays while training."""
         w1, b1, w2, b2 = params
         h = relu(matmul(Tensor(std_values), w1) + b1)
         return matmul(h, w2) + b2
@@ -197,15 +197,15 @@ class DetectorMLP:
         """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
         the endpoints only when a logit exceeds float64 resolution.
 
-        Each row goes through its own (1, d) matrix products, so its score
-        does not depend on the rows scored with it: one (n, d) product would
-        let BLAS pick its kernel, and so the row's rounding, by ``n``.
+        :meth:`logit` runs on a stack of (1, d) rows, each multiplied as a
+        batch of one, so a row's score does not depend on the rows scored
+        with it: one (n, d) product would let BLAS pick its kernel, and so
+        the row's rounding, by ``n``.
         """
         if values.shape[1] != self.input_dim:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
-        w1, b1, w2, b2 = (p.data for p in self.params)
-        rows = self.standardize(values)[:, None, :]  # (n, 1, d)
-        return stable_sigmoid((np.maximum(rows @ w1 + b1, 0.0) @ w2 + b2)[:, 0, 0])
+        rows = self.standardize(values)[:, None, :]
+        return stable_sigmoid(self.logit(rows, self.params).data[:, 0, 0])
 
 
 MOMENTUM = 0.9

@@ -405,10 +405,10 @@ class TestDetectorTraining:
         const = det.logit(std, det.params)
         assert not const.requires_grad
         assert const.data.tobytes() == det.logit(std, live).data.tobytes()
-        # score multiplies row by row (batch-invariant), the graph as one matrix
-        np.testing.assert_allclose(det.score(val.values),
-                                   stable_sigmoid(det.logit(std, live).data[:, 0]),
-                                   rtol=1e-14, atol=0.0)
+        # score runs the training graph one row at a time (batch-invariant)
+        rows = [det.logit(std[i:i + 1], live).data[:, 0] for i in range(len(std))]
+        assert det.score(val.values).tobytes() == \
+            stable_sigmoid(np.concatenate(rows)).tobytes()
 
     def test_dim_mismatch_rejected(self):
         normal, anom = separable_sets(seed=4)
