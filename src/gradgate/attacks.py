@@ -94,11 +94,8 @@ def _finish(kind, model, x, y, adv, targets=None, epsilon=None) -> AttackResult:
     if epsilon is not None:
         adv = _enforce_linf(x, adv, epsilon)
     linf, l2 = _norms(x, adv)
-    if model is None:
-        success = np.zeros(len(x), dtype=bool)
-    else:
-        pred = model.predict(adv)
-        success = (pred == targets) if targets is not None else (pred != np.asarray(y))
+    pred = model.predict(adv)
+    success = (pred == targets) if targets is not None else (pred != np.asarray(y))
     return AttackResult(kind, adv, success, linf, l2, targets=targets)
 
 
@@ -212,7 +209,7 @@ def cw_l2(model, x, y, c=1.0, iterations=200, lr=0.1) -> AttackResult:
     return AttackResult("cw", adv_out, success, linf, l2)
 
 
-def semantic(x: np.ndarray, model=None, y=None) -> AttackResult:
+def semantic(model, x: np.ndarray, y: np.ndarray) -> AttackResult:
     """Pixel negation; an involution on [0, 1] images."""
     adv = 1.0 - x
     return _finish("semantic", model, x, y, adv)
@@ -229,4 +226,4 @@ def run_attack(model, x, y, cfg: AttackConfig) -> AttackResult:
         return iterll(model, x, cfg.epsilon, cfg.alpha, cfg.iterations)
     if cfg.kind == "cw":
         return cw_l2(model, x, y, cfg.cw_c, cfg.cw_iterations, cfg.cw_lr)
-    return semantic(x, model=model, y=y)
+    return semantic(model, x, y)

@@ -75,14 +75,7 @@ def _node(data, parents, vjp) -> Tensor:
 
 
 def _bias_broadcastable(a: Tensor, b: Tensor) -> bool:
-    """``b`` matches the trailing axes of ``a``, which has more axes."""
-    lead = a.data.ndim - b.data.ndim
-    return lead >= 1 and b.data.shape == a.data.shape[lead:]
-
-
-def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """``g`` summed over the leading axes that a broadcast ``shape`` lacks."""
-    return g.sum(axis=tuple(range(g.ndim - len(shape))))
+    return a.data.ndim >= 1 and b.data.shape == a.data.shape[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +91,7 @@ def add(a: Tensor, b) -> Tensor:
     if a.data.shape == b.data.shape:
         return _node(a.data + b.data, (a, b), lambda g: (g, g if need_b else None))
     if _bias_broadcastable(a, b):
-        return _node(a.data + b.data, (a, b),
-                     lambda g: (g, _sum_to(g, b.data.shape) if need_b else None))
+        return _node(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0) if need_b else None))
     raise ShapeError("add", a.data.shape, b.data.shape)
 
 
@@ -112,8 +104,7 @@ def sub(a: Tensor, b) -> Tensor:
     if a.data.shape == b.data.shape:
         return _node(a.data - b.data, (a, b), lambda g: (g, -g if need_b else None))
     if _bias_broadcastable(a, b):
-        return _node(a.data - b.data, (a, b),
-                     lambda g: (g, -_sum_to(g, b.data.shape) if need_b else None))
+        return _node(a.data - b.data, (a, b), lambda g: (g, -g.sum(axis=0) if need_b else None))
     raise ShapeError("sub", a.data.shape, b.data.shape)
 
 
@@ -131,21 +122,18 @@ def mul(a: Tensor, b) -> Tensor:
     if _bias_broadcastable(a, b):
         return _node(a.data * b.data, (a, b),
                      lambda g: (g * b.data if need_a else None,
-                                _sum_to(g * a.data, b.data.shape) if need_b else None))
+                                (g * a.data).sum(axis=0) if need_b else None))
     raise ShapeError("mul", a.data.shape, b.data.shape)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a matrix ``b`` and a matrix or a stack of matrices ``a``;
-    each matrix of a stack is its own product, as if multiplied alone."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError("matmul", a.data.shape, b.data.shape)
     need_a, need_b = a.requires_grad, b.requires_grad
     return _node(a.data @ b.data, (a, b),
                  lambda g: (g @ b.data.T if need_a else None,
-                            a.data.reshape(-1, b.data.shape[0]).T @ g.reshape(-1, b.data.shape[1])
-                            if need_b else None))
+                            a.data.T @ g if need_b else None))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ from . import storage
 from .autodiff import Tensor, bce_with_logits, matmul, relu, stable_sigmoid
 from .data import stratify
 from .gradfeat import FeatureSet, concat_features
-from .nn import sgd_epochs
+from .nn import map_blocks, sgd_epochs
 
 
 @dataclass
@@ -166,6 +166,11 @@ def _split_side(fs: FeatureSet, side: str, label: int, seed: int) -> list:
 # detector MLP
 # ---------------------------------------------------------------------------
 
+# Rows per scoring pass, so a default run's 792-row validation set takes four
+# passes per training epoch and the benchmark config's 80-row one takes one.
+SCORE_BLOCK = 256
+
+
 class DetectorMLP:
     """Two-layer sigmoid-output MLP; standardizes its inputs with the mean
     and std of the train values it is built from."""
@@ -186,9 +191,9 @@ class DetectorMLP:
         return (values - self.mean) / self.std
 
     def logit(self, std_values: np.ndarray, params: list) -> Tensor:
-        """Detector logits of (n, d) rows, or of a stack of (1, d) rows,
-        through ``params``: the constant :attr:`params`, or requires-grad
-        tensors over the same arrays while training."""
+        """Detector logits of (n, d) rows through ``params``: the constant
+        :attr:`params`, or requires-grad tensors over the same arrays while
+        training."""
         w1, b1, w2, b2 = params
         h = relu(matmul(Tensor(std_values), w1) + b1)
         return matmul(h, w2) + b2
@@ -197,15 +202,15 @@ class DetectorMLP:
         """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
         the endpoints only when a logit exceeds float64 resolution.
 
-        :meth:`logit` runs on a stack of (1, d) rows, each multiplied as a
-        batch of one, so a row's score does not depend on the rows scored
-        with it: one (n, d) product would let BLAS pick its kernel, and so
-        the row's rounding, by ``n``.
+        :meth:`logit` runs in ``SCORE_BLOCK``-row blocks through
+        :func:`~gradgate.nn.map_blocks`, so a row's score does not depend on
+        the rows scored with it.
         """
         if values.shape[1] != self.input_dim:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
-        rows = self.standardize(values)[:, None, :]
-        return stable_sigmoid(self.logit(rows, self.params).data[:, 0, 0])
+        logits = map_blocks(lambda block: self.logit(block, self.params).data[:, 0],
+                            self.standardize(values), SCORE_BLOCK)
+        return stable_sigmoid(logits)
 
 
 MOMENTUM = 0.9

@@ -28,13 +28,11 @@ from .autodiff import Tensor, as_tensor, backward, bce_with_logits
 from .nn import FORWARD_BLOCK, map_blocks
 
 UNLABELED = -1
-# Rows per batched backward pass. A shorter chunk (a set's tail, a small
-# request) is zero-padded to this many rows, so every pass runs the same
-# shapes and a sample's features depend only on the sample and this
-# constant. Throughput on 2,051 glyphs (small CNN, OpenBLAS on one thread,
-# one core of a 2-CPU x86-64 box; best of 7): 3,540 samples/s at 4, 7,090
-# at 8, 8,350 at 16. Past 8 a small request pays for more padded rows and
-# the graph grows by about 0.2 MB per row.
+# Rows per batched backward pass; map_blocks zero-pads a shorter chunk (a
+# set's tail, a small request) to it. Throughput on 2,051 glyphs (small CNN,
+# OpenBLAS on one thread, one core of a 2-CPU x86-64 box; best of 7): 3,540
+# samples/s at 4, 7,090 at 8, 8,350 at 16. Past 8 a small request pays for
+# more padded rows and the graph grows by about 0.2 MB per row.
 CHUNK_SIZE = 8
 
 
@@ -146,13 +144,13 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
                               source_tag: str = "") -> FeatureSet:
     """Per-parameter-set squared gradient norms of the confounding loss.
 
-    Samples are scored ``CHUNK_SIZE`` at a time, a short chunk zero-padded
-    to ``CHUNK_SIZE`` rows. Each chunk runs one forward pass with the
-    parameters held constant and one backward pass of the loss summed over
-    its rows (the mean BCE scaled by ``CHUNK_SIZE``); rows do not interact,
-    so a padded row changes no other row's gradient. With g_i the gradient
-    at a layer's pre-activation for sample i and a_i the layer's input, the
-    features of sample i are:
+    Samples are scored in ``CHUNK_SIZE``-row chunks through
+    :func:`~gradgate.nn.map_blocks`, which zero-pads a short chunk. Each
+    chunk runs one forward pass with the parameters held constant and one
+    backward pass of the loss summed over its rows (the mean BCE scaled by
+    the chunk length); rows do not interact, so a padded row changes no
+    other row's gradient. With g_i the gradient at a layer's pre-activation
+    for sample i and a_i the layer's input, the features of sample i are:
 
     - conv weight: ||g_i cols_i^T||_F^2, cols_i the im2col columns of a_i
     - conv bias: ||sum_p g_i[:, p]||^2, summed over output positions p
@@ -167,15 +165,13 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
 
 
 def _chunk_features(model, chunk: np.ndarray, label: ConfoundingLabel) -> np.ndarray:
-    """Features of the rows of one chunk, run zero-padded to ``CHUNK_SIZE``
-    rows; its graph is freed on return, before the next chunk builds its own."""
-    padded = np.zeros((CHUNK_SIZE,) + chunk.shape[1:])
-    padded[:len(chunk)] = chunk
+    """Features of the rows of one chunk; its graph is freed on return,
+    before the next chunk builds its own."""
     taps = []
-    logits, _ = model.forward(padded, taps=taps)
-    grads = backward(bce_confounding_loss(logits, label) * float(CHUNK_SIZE))
+    logits, _ = model.forward(chunk, taps=taps)
+    grads = backward(bce_confounding_loss(logits, label) * float(len(chunk)))
     norms = [sq for tap in taps for sq in _per_sample_sq_norms(tap, grads[tap.pre])]
-    return np.stack(norms, axis=1)[:len(chunk)]
+    return np.stack(norms, axis=1)
 
 
 def _per_sample_sq_norms(tap, g: np.ndarray):

@@ -190,19 +190,15 @@ class TestCw:
 
 
 class TestSemantic:
-    def test_involution(self, batch):
-        x, _ = batch
-        once = semantic(x).images
-        twice = semantic(once).images
+    def test_involution(self, tiny_model, batch):
+        x, y = batch
+        once = semantic(tiny_model, x, y).images
+        twice = semantic(tiny_model, once, y).images
         np.testing.assert_allclose(twice, x, rtol=0, atol=1e-15)
 
-    def test_half_gray_fixed_point(self):
-        x = np.full((2, 1, 4, 4), 0.5)
-        assert np.array_equal(semantic(x).images, x)
-
-    def test_success_flags_without_model_are_false(self, batch):
-        x, _ = batch
-        assert not semantic(x).success.any()
+    def test_half_gray_fixed_point(self, tiny_model):
+        x = np.full((2, 1, 16, 16), 0.5)
+        assert np.array_equal(semantic(tiny_model, x, np.zeros(2, dtype=int)).images, x)
 
 
 class TestConfigAndDispatch:

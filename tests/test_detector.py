@@ -6,6 +6,7 @@ import pytest
 from gradgate.data import allocate_counts
 from gradgate.detector import (
     DETECTION_FRACTIONS,
+    SCORE_BLOCK,
     SCORE_COLUMNS,
     assemble_detection_sets,
     aupr,
@@ -405,10 +406,12 @@ class TestDetectorTraining:
         const = det.logit(std, det.params)
         assert not const.requires_grad
         assert const.data.tobytes() == det.logit(std, live).data.tobytes()
-        # score runs the training graph one row at a time (batch-invariant)
-        rows = [det.logit(std[i:i + 1], live).data[:, 0] for i in range(len(std))]
-        assert det.score(val.values).tobytes() == \
-            stable_sigmoid(np.concatenate(rows)).tobytes()
+        # score runs the training graph on a zero-padded SCORE_BLOCK block
+        assert len(std) < SCORE_BLOCK
+        padded = np.zeros((SCORE_BLOCK, std.shape[1]))
+        padded[:len(std)] = std
+        want = stable_sigmoid(det.logit(padded, live).data[:len(std), 0])
+        assert det.score(val.values).tobytes() == want.tobytes()
 
     def test_dim_mismatch_rejected(self):
         normal, anom = separable_sets(seed=4)

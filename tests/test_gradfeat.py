@@ -6,7 +6,7 @@ import pytest
 from gradgate.attacks import fgsm
 from gradgate.autodiff import Tensor, backward
 from gradgate.data import gen_glyphs, gen_ood
-from gradgate.detector import DetectorMLP, score
+from gradgate.detector import SCORE_BLOCK, DetectorMLP, msp_scores, score
 from gradgate.gradfeat import (
     CHUNK_SIZE,
     ConfoundingLabel,
@@ -22,7 +22,14 @@ from gradgate.gradfeat import (
     norm_summary,
     save_features_csv,
 )
-from gradgate.nn import build_classifier, load_checkpoint, mlp, save_checkpoint, small_cnn
+from gradgate.nn import (
+    FORWARD_BLOCK,
+    build_classifier,
+    load_checkpoint,
+    mlp,
+    save_checkpoint,
+    small_cnn,
+)
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +255,8 @@ class TestBatchedGradientFeatures:
 
 
 class TestBatchInvariance:
-    """Every chunk runs at ``CHUNK_SIZE`` rows and the detector scores row by
-    row, so a sample's bytes do not depend on the request it comes in."""
+    """``nn.map_blocks`` runs every block at its full row count, so a sample's
+    bytes do not depend on the request it comes in."""
 
     @pytest.fixture(scope="class")
     def whole(self, cnn, stream_sources):
@@ -270,6 +277,33 @@ class TestBatchInvariance:
             for i in range(size):
                 assert fs.values[i].tobytes() == values[offset + i].tobytes(), (offset, i)
                 assert got[i].tobytes() == scores[offset + i].tobytes(), (offset, i)
+
+    FORWARD_PASSES = {"logits": lambda model, x: model.logits(x),
+                      "msp": msp_scores,
+                      "activation": lambda model, x: extract_activation_features(model, x).values}
+
+    @pytest.mark.parametrize("size", [1, 2, 3, CHUNK_SIZE + 1, FORWARD_BLOCK + 1])
+    @pytest.mark.parametrize("name", list(FORWARD_PASSES))
+    def test_forward_rows_equal_whole_set_rows_bytewise(self, cnn, whole, name, size):
+        run = self.FORWARD_PASSES[name]
+        images = whole[0]
+        want = run(cnn, images)
+        for offset in range(0, len(images) - size + 1, max(1, size // 2)):
+            got = run(cnn, images[offset:offset + size])
+            for i in range(size):
+                assert got[i].tobytes() == want[offset + i].tobytes(), (offset, i)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, SCORE_BLOCK - 1, SCORE_BLOCK + 1])
+    def test_detector_rows_equal_whole_set_rows_bytewise(self, whole, size):
+        _, _, values, det, _ = whole
+        rng = np.random.default_rng(29)
+        rows = rng.normal(values.mean(axis=0), values.std(axis=0),
+                          size=(2 * SCORE_BLOCK + 3, values.shape[1]))
+        want = det.score(rows)
+        for offset in range(0, len(rows) - size + 1, max(1, size // 2)):
+            got = det.score(rows[offset:offset + size])
+            for i in range(size):
+                assert got[i].tobytes() == want[offset + i].tobytes(), (offset, i)
 
 
 class TestActivationFeatures:

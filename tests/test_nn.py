@@ -141,12 +141,16 @@ class TestForward:
         manual = np.maximum(flat @ w0 + b0, 0.0) @ w1 + b1
         np.testing.assert_allclose(logits.data, manual, rtol=1e-12, atol=1e-14)
 
-    def test_blocked_logits_equal_one_forward_pass(self):
+    def test_blocked_logits_equal_forward_passes_of_zero_padded_blocks(self):
         model = build_classifier(small_cnn(), seed=4)
         images = np.random.default_rng(5).uniform(size=(FORWARD_BLOCK + 2, 1, 16, 16))
-        whole = model.forward(images)[0].data
-        assert model.logits(images).tobytes() == whole.tobytes()
-        assert np.array_equal(model.predict(images), np.argmax(whole, axis=1))
+        padded = np.zeros((2 * FORWARD_BLOCK, 1, 16, 16))
+        padded[:len(images)] = images
+        blocks = [model.forward(padded[start:start + FORWARD_BLOCK])[0].data
+                  for start in (0, FORWARD_BLOCK)]
+        want = np.concatenate(blocks)[:len(images)]
+        assert model.logits(images).tobytes() == want.tobytes()
+        assert np.array_equal(model.predict(images), np.argmax(want, axis=1))
 
     @pytest.mark.parametrize("name", list(ZERO_ROW_PASSES))
     def test_zero_rows_give_zero_rows_of_full_width(self, name):
@@ -288,6 +292,15 @@ class TestCheckpoint:
         with pytest.raises(storage.RecordError, match=key):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["arch", "seed", "norm_mean", "norm_std", "val_accuracy"])
+    def test_missing_metadata_key_rejected(self, tmp_path, key):
+        _, path = self.make_model(tmp_path)
+        meta, records = storage.read_container(path, b"GGATE")
+        del meta[key]
+        storage.write_container(path, b"GGATE", meta, records)
+        with pytest.raises(storage.RecordError, match=f"'{key}'"):
+            load_checkpoint(path)
+
     def test_accuracy_helper(self):
         model = build_classifier(mlp(num_classes=2, input_shape=(1, 4, 4)), seed=0)
         ds = separable_blobs(seed=3)
@@ -339,7 +352,10 @@ class TestTrainable:
         grads_ref = backward(softmax_cross_entropy(live.forward(x_ref)[0], labels))
         assert all(ps.tensor in grads_ref for ps in live.params)
         assert grads[x].tobytes() == grads_ref[x_ref].tobytes()
-        assert model.logits(images).tobytes() == live.forward(images)[0].data.tobytes()
+        padded = np.zeros((FORWARD_BLOCK, 1, 16, 16))  # logits pads to a full block
+        padded[:len(images)] = images
+        want = live.forward(padded)[0].data[:len(images)]
+        assert model.logits(images).tobytes() == want.tobytes()
 
     def test_an_epoch_updates_the_models_own_arrays(self):
         train = separable_blobs(seed=0)
