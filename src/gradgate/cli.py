@@ -12,6 +12,7 @@ stage, so a digest only ever names what that config makes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -132,8 +133,7 @@ def detect_and_report(cfg: ExperimentConfig, normal, anomalous, seed: int):
         train, val, hidden=cfg.hidden, seed=seed,
         learning_rate=cfg.detector_learning_rate, batch_size=cfg.detector_batch_size,
         max_epochs=cfg.detector_epochs, patience=cfg.detector_patience)
-    scored = detector.score(det, test)
-    return scored, detector.evaluate(scored)
+    return detector.score(det, test)
 
 
 def msp_report(clean_scores, anom_scores, anom_tag: str, seed: int):
@@ -141,32 +141,59 @@ def msp_report(clean_scores, anom_scores, anom_tag: str, seed: int):
     _, _, test = detector.assemble_detection_sets(
         gradfeat.unlabeled_features(clean_scores[:, None], "clean-test"),
         gradfeat.unlabeled_features(anom_scores[:, None], anom_tag), seed)
-    scored = detector.ScoredSamples(test.sample_ids, test.anomaly_labels,
-                                    test.values[:, 0], list(test.tags))
-    return scored, detector.evaluate(scored)
+    return detector.ScoredSamples(test.sample_ids, test.anomaly_labels,
+                                  test.values[:, 0], list(test.tags))
+
+
+def _test_part(sets: dict, tag: str, seed: int):
+    """The rows of the 40/40/20 test part that every method at ``tag``
+    scores, in order. The split reads only the sizes and tags of the two
+    sets, so zero-width features give the same rows as any method's."""
+    _, _, test = detector.assemble_detection_sets(
+        *(gradfeat.unlabeled_features(np.zeros((len(sets[t]), 0)), t)
+          for t in ("clean-test", tag)), seed)
+    return test
+
+
+def ensure_scores(path: Path, part, make) -> detector.ScoredSamples:
+    """Load (or make with ``make()`` and save) one report row's scores; a
+    cached score CSV must hold exactly the rows of ``part``, in order."""
+    if not path.exists():
+        scored = make()
+        detector.save_scores_csv(scored, path)
+        return scored
+    scored = detector.load_scores_csv(path)
+    if not (np.array_equal(scored.sample_ids, part.sample_ids)
+            and np.array_equal(scored.labels, part.anomaly_labels) and scored.tags == part.tags):
+        raise detector.ScoreError(
+            f"{path}: {len(scored)} rows that are not the {len(part)}-row detection test part")
+    return scored
 
 
 def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
-    """Full pipeline; returns MetricReport rows, one per source and method."""
+    """Full pipeline; returns MetricReport rows, one per source and method.
+    A row whose score CSV exists is read from it, so a rerun fits no
+    detector and runs no MSP forward."""
     out.mkdir(parents=True, exist_ok=True)
     model, _ = ensure_classifier(cfg, out)
     sets = ensure_anomalies(cfg, model, out)
     feature_sets = {mode: ensure_features(cfg, model, sets, mode, out)
                     for mode in gradfeat.FEATURE_MODES}
-    msp = {tag: detector.msp_scores(model, ds.images) for tag, ds in sets.items()}
+    # each set's MSP forward runs once, and only when a row that needs it misses
+    msp = functools.cache(lambda tag: detector.msp_scores(model, sets[tag].images))
 
     rows = []
     for tag in list(sets)[1:]:  # every source after clean-test
         seed = child_seed(cfg.master_seed, f"detect:{tag}")
-        results = []
-        for mode in gradfeat.FEATURE_MODES:
-            scored, metrics = detect_and_report(
-                cfg, feature_sets[mode]["clean-test"], feature_sets[mode][tag], seed)
-            results.append((mode, scored, metrics))
-        results.append(("msp", *msp_report(msp["clean-test"], msp[tag], tag, seed)))
-        for method, scored, metrics in results:
-            detector.save_scores_csv(scored, _artifact(cfg, out, f"scores-{tag}-{method}", "csv"))
-            rows.append(_report_row(tag, method, scored, metrics))
+        part = _test_part(sets, tag, seed)
+        makers = {mode: functools.partial(detect_and_report, cfg, feature_sets[mode]["clean-test"],
+                                          feature_sets[mode][tag], seed)
+                  for mode in gradfeat.FEATURE_MODES}
+        makers["msp"] = lambda: msp_report(msp("clean-test"), msp(tag), tag, seed)
+        for method, make in makers.items():
+            scored = ensure_scores(_artifact(cfg, out, f"scores-{tag}-{method}", "csv"),
+                                   part, make)
+            rows.append(_report_row(tag, method, scored, detector.evaluate(scored)))
     write_report(cfg, rows, out)
     return rows
 

@@ -21,6 +21,11 @@ from .gradfeat import FeatureSet, concat_features
 from .nn import map_blocks, sgd_epochs
 
 
+class ScoreError(RuntimeError):
+    """A score CSV that cannot be read, or that holds other rows than its
+    detection test part."""
+
+
 @dataclass
 class ScoredSamples:
     """Per-sample detector output; the unit of metric computation."""
@@ -270,4 +275,33 @@ def save_scores_csv(scored: ScoredSamples, path) -> None:
         for i in range(len(scored)):
             writer.writerow([str(int(scored.sample_ids[i])), str(int(scored.labels[i])),
                              storage.fmt_float(scored.scores[i]), scored.tags[i]])
+
+
+def load_scores_csv(path) -> ScoredSamples:
+    """Read what :func:`save_scores_csv` wrote. Rejects another header, a row
+    with the wrong number of fields, a non-finite score and a label outside
+    {0, 1}."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != SCORE_COLUMNS:
+            raise ScoreError(f"{path}: not a score CSV (header {header})")
+        ids, labels, scores, tags = [], [], [], []
+        for row in reader:
+            if len(row) != len(SCORE_COLUMNS):
+                raise ScoreError(f"{path}: row with {len(row)} fields, "
+                                 f"expected {len(SCORE_COLUMNS)}")
+            ids.append(int(row[0]))
+            labels.append(int(row[1]))
+            scores.append(float(row[2]))
+            tags.append(row[3])
+    scored = ScoredSamples(np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64),
+                           np.array(scores, dtype=np.float64), tags)
+    bad = np.flatnonzero(~np.isfinite(scored.scores))
+    if len(bad):
+        raise ScoreError(f"{path}: non-finite score in row {bad[0]}")
+    bad = np.flatnonzero((scored.labels != 0) & (scored.labels != 1))
+    if len(bad):
+        raise ScoreError(f"{path}: label {scored.labels[bad[0]]} in row {bad[0]}, expected 0 or 1")
+    return scored
 

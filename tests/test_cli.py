@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradgate import cli, storage
+from gradgate import cli, detector, nn, storage
 from gradgate.attacks import AttackConfig, AttackResult
 from gradgate.config import ExperimentConfig, child_seed
 from gradgate import gradfeat
@@ -358,6 +358,58 @@ class TestRunExperiment:
         for p, (stamp, blob) in before.items():
             assert p.read_bytes() == blob
             assert (p.stat().st_mtime_ns == stamp) == (p != victim), p.name
+
+    def test_warm_run_fits_nothing_and_runs_no_forward(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        cfg = ExperimentConfig.from_file(path)
+        cli.run_experiment(cfg, out)
+        calls = []
+        forward = nn.Classifier.forward
+        monkeypatch.setattr(nn.Classifier, "forward",
+                            lambda *a, **k: calls.append("forward") or forward(*a, **k))
+        for module, name in ((cli.detector, "train_detector"), (cli.detector, "msp_scores")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+        assert len(cli.run_experiment(cfg, out)) == 9
+        assert calls == []
+
+    def test_warm_run_writes_only_the_report(self, tiny_config):
+        path, out = tiny_config
+        assert cli.main(["run-experiment", "--config", str(path)]) == 0
+        before = {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.iterdir()}
+        assert sum(p.name.startswith("scores-") for p in before) == 9
+        assert cli.main(["run-experiment", "--config", str(path)]) == 0
+        assert set(out.iterdir()) == set(before)
+        for p, (stamp, blob) in before.items():
+            assert p.read_bytes() == blob, p.name  # the warm report equals the cold one
+            if not p.name.startswith("report-"):
+                assert p.stat().st_mtime_ns == stamp, p.name
+
+    def test_deleting_one_score_csv_rebuilds_only_that_file(self, tiny_config):
+        path, out = tiny_config
+        cli.main(["run-experiment", "--config", str(path)])
+        cfg = ExperimentConfig.from_file(path)
+        victim = out / f"scores-adv-semantic-gradient-{cfg.digest()}.csv"
+        before = {p: (p.stat().st_mtime_ns, p.read_bytes())
+                  for p in out.iterdir() if not p.name.startswith("report-")}
+        victim.unlink()
+        assert cli.main(["run-experiment", "--config", str(path)]) == 0
+        for p, (stamp, blob) in before.items():
+            assert p.read_bytes() == blob, p.name
+            assert (p.stat().st_mtime_ns == stamp) == (p != victim), p.name
+
+    def test_score_csv_short_of_its_test_part_rejected(self, tiny_config):
+        path, out = tiny_config
+        cfg = ExperimentConfig.from_file(path)
+        cli.run_experiment(cfg, out)
+        victim = out / f"scores-ood-uniform-noise-msp-{cfg.digest()}.csv"
+        lines = victim.read_text().splitlines(keepends=True)
+        victim.write_text("".join(lines[:5] + lines[6:]))
+        with pytest.raises(detector.ScoreError,
+                           match=f"{victim.name}: {len(lines) - 2} rows that are not the "
+                                 f"{len(lines) - 1}-row detection test part"):
+            cli.run_experiment(cfg, out)
 
     def test_stage_commands_make_the_run_experiment_artifacts(self, tiny_config, tmp_path):
         path, out = tiny_config

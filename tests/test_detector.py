@@ -13,10 +13,12 @@ from gradgate.detector import (
     auroc,
     detection_accuracy,
     evaluate,
+    load_scores_csv,
     msp_scores,
     save_scores_csv,
     score,
     train_detector,
+    ScoreError,
     ScoredSamples,
 )
 from gradgate.autodiff import Tensor, stable_sigmoid
@@ -439,3 +441,27 @@ class TestScoresCsv:
         save_scores_csv(ScoredSamples(np.array([0]), np.array([1]), np.array([0.5]), ["a"]),
                         path)
         assert path.read_text().splitlines()[0] == ",".join(SCORE_COLUMNS)
+
+    def test_save_load_save_byte_equal(self, tmp_path):
+        rng = np.random.default_rng(0)
+        scored = ScoredSamples(np.array([7, 0, 2, 5]), np.array([0, 0, 1, 1]),
+                               np.append(rng.uniform(size=3), 1e-300), ["a", "a", "b", "b"])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_scores_csv(scored, first)
+        loaded = load_scores_csv(first)
+        assert loaded.scores.tobytes() == scored.scores.tobytes()
+        save_scores_csv(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("text,match", [
+        ("sample_id,anomaly_label,score\n0,1,0.5\n", "not a score CSV"),
+        ("sample_id,anomaly_label,score,source_tag\n0,1,0.5\n", "row with 3 fields, expected 4"),
+        ("sample_id,anomaly_label,score,source_tag\n0,1,0.5,a\n1,0,nan,a\n",
+         "non-finite score in row 1"),
+        ("sample_id,anomaly_label,score,source_tag\n0,1,0.5,a\n1,2,0.5,a\n",
+         "label 2 in row 1, expected 0 or 1")])
+    def test_load_rejects(self, tmp_path, text, match):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(ScoreError, match=f"{path.name}: {match}"):
+            load_scores_csv(path)
