@@ -108,20 +108,22 @@ def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
 
 
 def ensure_features(cfg: ExperimentConfig, model, sets: dict, mode: str, out: Path) -> dict:
-    """Extract (or reload) one feature CSV per anomaly source for a mode;
-    a cached CSV must hold one row per sample of its set."""
+    """Extract (or reload) one feature file per anomaly source for a mode;
+    a cached file must hold one row per sample of its set, and that set's tag."""
     label = cfg.confounding_label(model.num_classes)
     features = {}
     for tag, ds in sets.items():
-        path = _artifact(cfg, out, f"features-{mode}-{tag}", "csv")
+        path = _artifact(cfg, out, f"features-{mode}-{tag}", "gfeat")
         if path.exists():
-            fs = gradfeat.load_features_csv(path)
+            fs = gradfeat.load_features(path)
             if len(fs) != len(ds):
                 raise gradfeat.FeatureError(
                     f"{path}: {len(fs)} rows for a set of {len(ds)} samples")
+            if fs.tags != [tag] * len(ds):
+                raise gradfeat.FeatureError(f"{path}: features of {fs.tags[0]!r}, not of {tag!r}")
         else:
             fs = gradfeat.extract_features(model, ds.images, mode, label, tag)
-            gradfeat.save_features_csv(fs, path)
+            gradfeat.save_features(fs, path)
         features[tag] = fs
     return features
 
@@ -157,22 +159,22 @@ def _test_part(sets: dict, tag: str, seed: int):
 
 def ensure_scores(path: Path, part, make) -> detector.ScoredSamples:
     """Load (or make with ``make()`` and save) one report row's scores; a
-    cached score CSV must hold exactly the rows of ``part``, in order."""
+    cached score file must hold exactly the ids and labels of ``part``, in
+    order, and takes its tags from ``part``."""
     if not path.exists():
         scored = make()
-        detector.save_scores_csv(scored, path)
+        detector.save_scores(scored, path)
         return scored
-    scored = detector.load_scores_csv(path)
-    if not (np.array_equal(scored.sample_ids, part.sample_ids)
-            and np.array_equal(scored.labels, part.anomaly_labels) and scored.tags == part.tags):
+    ids, labels, scores = detector.load_scores(path)
+    if not (np.array_equal(ids, part.sample_ids) and np.array_equal(labels, part.anomaly_labels)):
         raise detector.ScoreError(
-            f"{path}: {len(scored)} rows that are not the {len(part)}-row detection test part")
-    return scored
+            f"{path}: {len(scores)} rows that are not the {len(part)}-row detection test part")
+    return detector.ScoredSamples(part.sample_ids, part.anomaly_labels, scores, part.tags)
 
 
 def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
     """Full pipeline; returns MetricReport rows, one per source and method.
-    A row whose score CSV exists is read from it, so a rerun fits no
+    A row whose score file exists is read from it, so a rerun fits no
     detector and runs no MSP forward."""
     out.mkdir(parents=True, exist_ok=True)
     model, _ = ensure_classifier(cfg, out)
@@ -191,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
                   for mode in gradfeat.FEATURE_MODES}
         makers["msp"] = lambda: msp_report(msp("clean-test"), msp(tag), tag, seed)
         for method, make in makers.items():
-            scored = ensure_scores(_artifact(cfg, out, f"scores-{tag}-{method}", "csv"),
+            scored = ensure_scores(_artifact(cfg, out, f"scores-{tag}-{method}", "gscore"),
                                    part, make)
             rows.append(_report_row(tag, method, scored, detector.evaluate(scored)))
     write_report(cfg, rows, out)

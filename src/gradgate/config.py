@@ -10,6 +10,7 @@ adding a stage never perturbs the seeds of existing stages.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -26,7 +27,7 @@ def child_seed(master_seed: int, role: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # experiment
     out_dir: str = "runs"
@@ -196,6 +197,7 @@ class ExperimentConfig:
             lines.append("")
         return "\n".join(lines)
 
+    @functools.cache
     def digest(self) -> str:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:12]
 

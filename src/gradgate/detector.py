@@ -9,7 +9,6 @@ straight from the classifier with no training.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .nn import map_blocks, sgd_epochs
 
 
 class ScoreError(RuntimeError):
-    """A score CSV that cannot be read, or that holds other rows than its
+    """A score file with a non-finite score, or with other rows than its
     detection test part."""
 
 
@@ -262,46 +261,31 @@ def score(det: DetectorMLP, fs: FeatureSet) -> ScoredSamples:
 
 
 # ---------------------------------------------------------------------------
-# score CSV interface
+# score files
 # ---------------------------------------------------------------------------
 
-SCORE_COLUMNS = ("sample_id", "anomaly_label", "score", "source_tag")
+SCORE_MAGIC = b"GSCOR"
+SCORE_RECORDS = ("sample_ids", "labels", "scores")
 
 
-def save_scores_csv(scored: ScoredSamples, path) -> None:
-    with storage.atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORE_COLUMNS)
-        for i in range(len(scored)):
-            writer.writerow([str(int(scored.sample_ids[i])), str(int(scored.labels[i])),
-                             storage.fmt_float(scored.scores[i]), scored.tags[i]])
+def save_scores(scored: ScoredSamples, path) -> None:
+    """Write ids, labels and scores as float64 records; tags are not stored."""
+    arrays = (scored.sample_ids, scored.labels, scored.scores)
+    storage.write_container(path, SCORE_MAGIC, {},
+                            [(name, np.asarray(a, dtype=np.float64))
+                             for name, a in zip(SCORE_RECORDS, arrays)])
 
 
-def load_scores_csv(path) -> ScoredSamples:
-    """Read what :func:`save_scores_csv` wrote. Rejects another header, a row
-    with the wrong number of fields, a non-finite score and a label outside
-    {0, 1}."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != SCORE_COLUMNS:
-            raise ScoreError(f"{path}: not a score CSV (header {header})")
-        ids, labels, scores, tags = [], [], [], []
-        for row in reader:
-            if len(row) != len(SCORE_COLUMNS):
-                raise ScoreError(f"{path}: row with {len(row)} fields, "
-                                 f"expected {len(SCORE_COLUMNS)}")
-            ids.append(int(row[0]))
-            labels.append(int(row[1]))
-            scores.append(float(row[2]))
-            tags.append(row[3])
-    scored = ScoredSamples(np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64),
-                           np.array(scores, dtype=np.float64), tags)
-    bad = np.flatnonzero(~np.isfinite(scored.scores))
+def load_scores(path):
+    """Read what :func:`save_scores` wrote: (sample_ids, labels, scores),
+    all float64. Rejects another record layout and a non-finite score."""
+    _, records = storage.read_container(path, SCORE_MAGIC)
+    n = records[0][1].size if records else 0
+    if [(name, arr.shape) for name, arr in records] != [(name, (n,)) for name in SCORE_RECORDS]:
+        raise storage.RecordError(f"{path}: records are not {', '.join(SCORE_RECORDS)} "
+                                  f"of one length")
+    ids, labels, scores = (arr for _, arr in records)
+    bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
         raise ScoreError(f"{path}: non-finite score in row {bad[0]}")
-    bad = np.flatnonzero((scored.labels != 0) & (scored.labels != 1))
-    if len(bad):
-        raise ScoreError(f"{path}: label {scored.labels[bad[0]]} in row {bad[0]}, expected 0 or 1")
-    return scored
-
+    return ids, labels, scores

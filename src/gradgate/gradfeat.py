@@ -17,7 +17,6 @@ per-sample gradient is a product of it with the layer's input.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -239,38 +238,28 @@ def norm_summary(values: np.ndarray, tags) -> dict:
     return summary
 
 
-CSV_FIXED_COLUMNS = ("sample_id", "anomaly_label", "source_tag")
+FEATURE_MAGIC = b"GFEAT"
 
 
-def save_features_csv(fs: FeatureSet, path) -> None:
-    """Write ``sample_id,anomaly_label,source_tag,f0..f{P-1}`` rows; floats
-    carry 17 significant digits so parse -> serialize is byte-identical."""
-    with storage.atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(CSV_FIXED_COLUMNS) + [f"f{j}" for j in range(fs.dim)])
-        for i in range(len(fs)):
-            row = [str(int(fs.sample_ids[i])), str(int(fs.anomaly_labels[i])), fs.tags[i]]
-            row += [storage.fmt_float(v) for v in fs.values[i]]
-            writer.writerow(row)
+def save_features(fs: FeatureSet, path) -> None:
+    """Write one set's features as a container: a ``values`` record and the
+    set's ``source_tag``. Ids and labels are not stored, so only the rows
+    :func:`unlabeled_features` makes can be saved."""
+    tag = fs.tags[0] if fs.tags else ""
+    if not (np.array_equal(fs.sample_ids, np.arange(len(fs))) and fs.tags == [tag] * len(fs)
+            and np.all(fs.anomaly_labels == UNLABELED)):
+        raise FeatureError("only the unlabeled rows 0..n-1 of one source can be saved")
+    storage.write_container(path, FEATURE_MAGIC, {"source_tag": tag}, [("values", fs.values)])
 
 
-def load_features_csv(path) -> FeatureSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header[:3]) != CSV_FIXED_COLUMNS:
-            raise FeatureError(f"{path}: not a feature CSV (header {header})")
-        dim = len(header) - 3
-        ids, labels, tags, rows = [], [], [], []
-        for row in reader:
-            if len(row) != dim + 3:
-                raise FeatureError(f"{path}: row with {len(row)} fields, expected {dim + 3}")
-            ids.append(int(row[0]))
-            labels.append(int(row[1]))
-            tags.append(row[2])
-            rows.append([float(v) for v in row[3:]])
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+def load_features(path) -> FeatureSet:
+    """Read what :func:`save_features` wrote. Rejects another record layout,
+    a missing source tag and a non-finite value."""
+    metadata, records = storage.read_container(path, FEATURE_MAGIC)
+    if "source_tag" not in metadata or [(n, a.ndim) for n, a in records] != [("values", 2)]:
+        raise storage.RecordError(f"{path}: not one (n, P) values record with a source_tag")
+    values = records[0][1]
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if len(bad):
         raise FeatureError(f"{path}: non-finite value in row {bad[0]}")
-    return FeatureSet(values, np.array(ids), np.array(labels, dtype=np.int64), tags)
+    return unlabeled_features(values, metadata["source_tag"])

@@ -1,4 +1,4 @@
-"""Binary container shared by model checkpoints and dataset files.
+"""Binary container of every array artifact: checkpoints, sets, features, scores.
 
 Layout: ascii magic, little-endian u16 format version, a length-prefixed
 UTF-8 metadata block of ``key=value`` lines, then a u32 record count followed

@@ -27,7 +27,7 @@ from gradgate.gradfeat import (
     bce_confounding_loss,
     concat_features,
     extract_gradient_features,
-    load_features_csv,
+    load_features,
     make_confounding_label,
 )
 from gradgate.nn import (
@@ -172,9 +172,9 @@ class TestCriterion4GradientVsActivation:
         attack_tags = [f"adv-{k}" for k in cfg.attack_kinds]
         sets = {}
         for mode in ("gradient", "activation"):
-            clean = load_features_csv(out / f"features-{mode}-clean-test-{digest}.csv")
+            clean = load_features(out / f"features-{mode}-clean-test-{digest}.gfeat")
             pooled = concat_features(
-                [load_features_csv(out / f"features-{mode}-{t}-{digest}.csv")
+                [load_features(out / f"features-{mode}-{t}-{digest}.gfeat")
                  for t in attack_tags])
             sets[mode] = (clean, pooled)
 
@@ -196,7 +196,7 @@ class TestCriterion4GradientVsActivation:
 
         # fgsm gradient-norm medians exceed clean medians for a majority of
         # the per-parameter-set feature entries
-        fgsm = load_features_csv(out / f"features-gradient-adv-fgsm-{digest}.csv").values
+        fgsm = load_features(out / f"features-gradient-adv-fgsm-{digest}.gfeat").values
         median_wins = sum(np.median(fgsm[:, p]) > np.median(g_clean.values[:, p])
                           for p in range(g_clean.dim))
         assert median_wins > g_clean.dim / 2

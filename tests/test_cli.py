@@ -1,3 +1,5 @@
+import struct
+import types
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,7 @@ from gradgate.attacks import AttackConfig, AttackResult
 from gradgate.config import ExperimentConfig, child_seed
 from gradgate import gradfeat
 from gradgate.data import gen_glyphs, load_dataset
-from gradgate.gradfeat import load_features_csv, save_features_csv
 from gradgate.nn import build_classifier, load_checkpoint, small_cnn
-from gradgate.storage import fmt_float
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_TEMPLATE = """
@@ -245,35 +245,48 @@ class TestExtractAndDetect:
     def test_gradient_mode_has_eight_columns(self, pipeline):
         out, cfg = pipeline
         for tag in self.TAGS:
-            fs = load_features_csv(out / f"features-gradient-{tag}-{cfg.digest()}.csv")
+            fs = gradfeat.load_features(out / f"features-gradient-{tag}-{cfg.digest()}.gfeat")
             assert fs.dim == 8
             assert len(fs) == 40
 
     def test_activation_mode_has_layer_count_columns(self, pipeline):
         out, cfg = pipeline
         for tag in self.TAGS:
-            fs = load_features_csv(out / f"features-activation-{tag}-{cfg.digest()}.csv")
+            fs = gradfeat.load_features(out / f"features-activation-{tag}-{cfg.digest()}.gfeat")
             assert fs.dim == 4
 
-    def test_feature_csv_round_trip_byte_equal(self, pipeline, tmp_path):
+    def test_feature_file_round_trip_byte_equal(self, pipeline, tmp_path):
         out, _ = pipeline
-        paths = sorted(out.glob("features-*.csv"))
+        paths = sorted(out.glob("features-*.gfeat"))
         assert len(paths) == 2 * len(self.TAGS)  # both modes for every set
-        for csv_path in paths:
-            again = tmp_path / "again.csv"
-            save_features_csv(load_features_csv(csv_path), again)
-            assert csv_path.read_bytes() == again.read_bytes(), csv_path.name
+        for path in paths:
+            again = tmp_path / "again.gfeat"
+            gradfeat.save_features(gradfeat.load_features(path), again)
+            assert path.read_bytes() == again.read_bytes(), path.name
 
 
 class TestFeatureCache:
-    def test_cached_csv_short_of_its_set_rejected(self, tmp_path):
+    def test_cached_file_short_of_its_set_rejected(self, tmp_path):
         cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
         model = build_classifier(small_cnn(), seed=0)
         sets = {"probe": gen_glyphs(5, seed=3)}
         cli.ensure_features(cfg, model, sets, "activation", tmp_path)
-        path = tmp_path / f"features-activation-probe-{cfg.digest()}.csv"
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        path = tmp_path / f"features-activation-probe-{cfg.digest()}.gfeat"
+        values = gradfeat.load_features(path).values
+        gradfeat.save_features(gradfeat.unlabeled_features(values[:-1], "probe"), path)
         with pytest.raises(gradfeat.FeatureError, match=f"{path.name}: 4 rows for a set of 5"):
+            cli.ensure_features(cfg, model, sets, "activation", tmp_path)
+
+    def test_cached_file_of_another_set_rejected(self, tmp_path):
+        cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
+        model = build_classifier(small_cnn(), seed=0)
+        sets = {"probe": gen_glyphs(5, seed=3)}
+        cli.ensure_features(cfg, model, sets, "activation", tmp_path)
+        path = tmp_path / f"features-activation-probe-{cfg.digest()}.gfeat"
+        values = gradfeat.load_features(path).values
+        gradfeat.save_features(gradfeat.unlabeled_features(values, "other"), path)
+        with pytest.raises(gradfeat.FeatureError,
+                           match=f"{path.name}: features of 'other', not of 'probe'"):
             cli.ensure_features(cfg, model, sets, "activation", tmp_path)
 
     def test_write_cut_short_is_regenerated(self, tmp_path, monkeypatch):
@@ -282,22 +295,23 @@ class TestFeatureCache:
         sets = {"probe": gen_glyphs(6, seed=3)}
         calls = []
 
-        def crash_on_20th_value(x):
-            calls.append(x)
-            if len(calls) == 20:
+        def crash_on_first_dim(fmt, *values):
+            calls.append(fmt)
+            if len(calls) == 6:  # magic, version, metadata and record name are written
                 raise KeyboardInterrupt
-            return fmt_float(x)
+            return struct.pack(fmt, *values)
 
-        monkeypatch.setattr(storage, "fmt_float", crash_on_20th_value)
+        monkeypatch.setattr(storage, "struct", types.SimpleNamespace(pack=crash_on_first_dim))
         with pytest.raises(KeyboardInterrupt):
             cli.ensure_features(cfg, model, sets, "gradient", tmp_path)
+        assert len(calls) == 6
         assert list(tmp_path.iterdir()) == []
 
         monkeypatch.undo()
         features = cli.ensure_features(cfg, model, sets, "gradient", tmp_path)
-        path = tmp_path / f"features-gradient-probe-{cfg.digest()}.csv"
+        path = tmp_path / f"features-gradient-probe-{cfg.digest()}.gfeat"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert load_features_csv(path).values.tobytes() == features["probe"].values.tobytes()
+        assert gradfeat.load_features(path).values.tobytes() == features["probe"].values.tobytes()
         assert len(features["probe"]) == 6
 
 
@@ -386,11 +400,11 @@ class TestRunExperiment:
             if not p.name.startswith("report-"):
                 assert p.stat().st_mtime_ns == stamp, p.name
 
-    def test_deleting_one_score_csv_rebuilds_only_that_file(self, tiny_config):
+    def test_deleting_one_score_file_rebuilds_only_that_file(self, tiny_config):
         path, out = tiny_config
         cli.main(["run-experiment", "--config", str(path)])
         cfg = ExperimentConfig.from_file(path)
-        victim = out / f"scores-adv-semantic-gradient-{cfg.digest()}.csv"
+        victim = out / f"scores-adv-semantic-gradient-{cfg.digest()}.gscore"
         before = {p: (p.stat().st_mtime_ns, p.read_bytes())
                   for p in out.iterdir() if not p.name.startswith("report-")}
         victim.unlink()
@@ -399,24 +413,65 @@ class TestRunExperiment:
             assert p.read_bytes() == blob, p.name
             assert (p.stat().st_mtime_ns == stamp) == (p != victim), p.name
 
-    def test_score_csv_short_of_its_test_part_rejected(self, tiny_config):
+    def test_score_file_short_of_its_test_part_rejected(self, tiny_config):
         path, out = tiny_config
         cfg = ExperimentConfig.from_file(path)
         cli.run_experiment(cfg, out)
-        victim = out / f"scores-ood-uniform-noise-msp-{cfg.digest()}.csv"
-        lines = victim.read_text().splitlines(keepends=True)
-        victim.write_text("".join(lines[:5] + lines[6:]))
+        victim = out / f"scores-ood-uniform-noise-msp-{cfg.digest()}.gscore"
+        ids, labels, scores = detector.load_scores(victim)
+        keep = np.arange(len(scores)) != 5
+        detector.save_scores(detector.ScoredSamples(ids[keep], labels[keep], scores[keep], []),
+                             victim)
         with pytest.raises(detector.ScoreError,
-                           match=f"{victim.name}: {len(lines) - 2} rows that are not the "
-                                 f"{len(lines) - 1}-row detection test part"):
+                           match=f"{victim.name}: {len(scores) - 1} rows that are not the "
+                                 f"{len(scores)}-row detection test part"):
             cli.run_experiment(cfg, out)
+
+    def test_score_file_of_other_labels_rejected(self, tiny_config):
+        path, out = tiny_config
+        cfg = ExperimentConfig.from_file(path)
+        cli.run_experiment(cfg, out)
+        victim = out / f"scores-adv-fgsm-gradient-{cfg.digest()}.gscore"
+        ids, labels, scores = detector.load_scores(victim)
+        detector.save_scores(detector.ScoredSamples(ids, 1 - labels, scores, []), victim)
+        with pytest.raises(detector.ScoreError, match=f"{victim.name}: {len(scores)} rows that "
+                                                      f"are not the {len(scores)}-row"):
+            cli.run_experiment(cfg, out)
+
+    @pytest.mark.parametrize("stem", ["features-gradient-adv-fgsm", "scores-adv-fgsm-msp"])
+    def test_truncated_cached_file_rejected(self, tiny_config, stem):
+        path, out = tiny_config
+        cfg = ExperimentConfig.from_file(path)
+        cli.run_experiment(cfg, out)
+        victim, = out.glob(f"{stem}-{cfg.digest()}.*")
+        victim.write_bytes(victim.read_bytes()[:-8])
+        with pytest.raises(storage.TruncatedError, match="file ends inside payload"):
+            cli.run_experiment(cfg, out)
+
+    def test_cold_run_writes_no_csv(self, tiny_config):
+        path, out = tiny_config
+        cli.run_experiment(ExperimentConfig.from_file(path), out)
+        names = [p.name for p in out.iterdir()]
+        assert sum(n.endswith(".gfeat") for n in names) == 8  # 2 modes x 4 sets
+        assert sum(n.endswith(".gscore") for n in names) == 9  # 3 sources x 3 methods
+        assert not list(out.glob("*.csv"))
+
+    def test_warm_run_renders_the_config_at_most_once(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        cli.run_experiment(ExperimentConfig.from_file(path), out)
+        calls = []
+        resolved_text = ExperimentConfig.resolved_text
+        monkeypatch.setattr(ExperimentConfig, "resolved_text",
+                            lambda cfg: calls.append(1) or resolved_text(cfg))
+        cli.run_experiment(ExperimentConfig.from_file(path), out)
+        assert len(calls) <= 1
 
     def test_stage_commands_make_the_run_experiment_artifacts(self, tiny_config, tmp_path):
         path, out = tiny_config
         for command in ("train-classifier", "gen-anomalies", "extract-features"):
             assert cli.main([command, "--config", str(path)]) == 0
         staged = {p: p.stat().st_mtime_ns for p in out.iterdir()}
-        assert len(staged) == 14  # checkpoint, history, 4 sets, 2 x 4 feature CSVs
+        assert len(staged) == 14  # checkpoint, history, 4 sets, 2 x 4 feature files
         assert cli.main(["run-experiment", "--config", str(path)]) == 0
         for p, stamp in staged.items():
             assert p.stat().st_mtime_ns == stamp, p.name
@@ -449,16 +504,16 @@ class TestCompareNorms:
         for tag in ("clean-test", "adv-fgsm", "adv-semantic", "ood-uniform-noise"):
             assert sum(l.split()[0] == tag for l in lines if l) == len(blocks)
 
-    def test_reads_the_feature_csvs_extract_features_wrote(self, tiny_config, monkeypatch):
+    def test_reads_the_feature_files_extract_features_wrote(self, tiny_config, monkeypatch):
         path, out = tiny_config
         assert cli.main(["extract-features", "--config", str(path)]) == 0
-        csvs = {p: p.stat().st_mtime_ns for p in out.glob("features-*.csv")}
-        assert len(csvs) == 8
+        files = {p: p.stat().st_mtime_ns for p in out.glob("features-*.gfeat")}
+        assert len(files) == 8
         calls = []
         monkeypatch.setattr(gradfeat, "extract_features", lambda *a, **k: calls.append(a))
         assert cli.main(["compare-norms", "--config", str(path)]) == 0
         assert calls == []
-        for p, stamp in csvs.items():
+        for p, stamp in files.items():
             assert p.stat().st_mtime_ns == stamp, p.name
 
     def test_k_hot_uses_the_pipeline_label(self, tiny_config, monkeypatch):

@@ -1,21 +1,20 @@
-import csv
-
 import numpy as np
 import pytest
 
+from gradgate import storage
 from gradgate.data import allocate_counts
 from gradgate.detector import (
     DETECTION_FRACTIONS,
     SCORE_BLOCK,
-    SCORE_COLUMNS,
+    SCORE_MAGIC,
     assemble_detection_sets,
     aupr,
     auroc,
     detection_accuracy,
     evaluate,
-    load_scores_csv,
+    load_scores,
     msp_scores,
-    save_scores_csv,
+    save_scores,
     score,
     train_detector,
     ScoreError,
@@ -423,45 +422,48 @@ class TestDetectorTraining:
             det.score(np.zeros((3, 7)))
 
 
-class TestScoresCsv:
+class TestScoreFile:
     def test_round_trip(self, tmp_path):
         scored = ScoredSamples(np.array([3, 1, 4]), np.array([0, 1, 1]),
                                np.array([0.25, 0.5, 0.125]), ["a", "b", "b"])
-        path = tmp_path / "scores.csv"
-        save_scores_csv(scored, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert [int(r[0]) for r in rows] == scored.sample_ids.tolist()
-        assert [int(r[1]) for r in rows] == scored.labels.tolist()
-        assert [float(r[2]) for r in rows] == scored.scores.tolist()
-        assert [r[3] for r in rows] == scored.tags
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        save_scores_csv(ScoredSamples(np.array([0]), np.array([1]), np.array([0.5]), ["a"]),
-                        path)
-        assert path.read_text().splitlines()[0] == ",".join(SCORE_COLUMNS)
+        path = tmp_path / "scores.gscore"
+        save_scores(scored, path)
+        ids, labels, scores = load_scores(path)
+        assert ids.tolist() == scored.sample_ids.tolist()
+        assert labels.tolist() == scored.labels.tolist()
+        assert scores.tobytes() == scored.scores.tobytes()
 
     def test_save_load_save_byte_equal(self, tmp_path):
         rng = np.random.default_rng(0)
+        tags = ["a", "a", "b", "b"]
         scored = ScoredSamples(np.array([7, 0, 2, 5]), np.array([0, 0, 1, 1]),
-                               np.append(rng.uniform(size=3), 1e-300), ["a", "a", "b", "b"])
-        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        save_scores_csv(scored, first)
-        loaded = load_scores_csv(first)
-        assert loaded.scores.tobytes() == scored.scores.tobytes()
-        save_scores_csv(loaded, second)
+                               np.append(rng.uniform(size=3), 1e-300), tags)
+        first, second = tmp_path / "first.gscore", tmp_path / "second.gscore"
+        save_scores(scored, first)
+        save_scores(ScoredSamples(*load_scores(first), tags), second)
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("text,match", [
-        ("sample_id,anomaly_label,score\n0,1,0.5\n", "not a score CSV"),
-        ("sample_id,anomaly_label,score,source_tag\n0,1,0.5\n", "row with 3 fields, expected 4"),
-        ("sample_id,anomaly_label,score,source_tag\n0,1,0.5,a\n1,0,nan,a\n",
-         "non-finite score in row 1"),
-        ("sample_id,anomaly_label,score,source_tag\n0,1,0.5,a\n1,2,0.5,a\n",
-         "label 2 in row 1, expected 0 or 1")])
-    def test_load_rejects(self, tmp_path, text, match):
-        path = tmp_path / "scores.csv"
-        path.write_text(text)
-        with pytest.raises(ScoreError, match=f"{path.name}: {match}"):
-            load_scores_csv(path)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected_with_file_and_row(self, tmp_path, bad):
+        path = tmp_path / "scores.gscore"
+        save_scores(ScoredSamples(np.array([0, 1]), np.array([1, 0]), np.array([0.5, bad]),
+                                  ["a", "a"]), path)
+        with pytest.raises(ScoreError, match=f"{path.name}: non-finite score in row 1"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("magic,records,error", [
+        (b"GFEAT", [("sample_ids", np.zeros(2)), ("labels", np.zeros(2)), ("scores", np.zeros(2))],
+         storage.BadMagicError),
+        (SCORE_MAGIC, [("sample_ids", np.zeros(2)), ("labels", np.zeros(2))], storage.RecordError),
+        (SCORE_MAGIC, [("labels", np.zeros(2)), ("sample_ids", np.zeros(2)), ("scores", np.zeros(2))],
+         storage.RecordError),
+        (SCORE_MAGIC, [("sample_ids", np.zeros(2)), ("labels", np.zeros(2)), ("scores", np.zeros(3))],
+         storage.RecordError),
+        (SCORE_MAGIC, [("sample_ids", np.zeros((2, 1))), ("labels", np.zeros(2)),
+                       ("scores", np.zeros(2))], storage.RecordError),
+        (SCORE_MAGIC, [], storage.RecordError)])
+    def test_other_magic_or_layout_rejected(self, tmp_path, magic, records, error):
+        path = tmp_path / "scores.gscore"
+        storage.write_container(path, magic, {}, records)
+        with pytest.raises(error):
+            load_scores(path)

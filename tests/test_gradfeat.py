@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gradgate import storage
 from gradgate.attacks import fgsm
 from gradgate.autodiff import Tensor, backward
 from gradgate.data import gen_glyphs, gen_ood
 from gradgate.detector import SCORE_BLOCK, DetectorMLP, msp_scores, score
 from gradgate.gradfeat import (
     CHUNK_SIZE,
+    FEATURE_MAGIC,
     ConfoundingLabel,
     FeatureError,
     FeatureSet,
@@ -17,10 +19,11 @@ from gradgate.gradfeat import (
     extract_activation_features,
     extract_gradient_features,
     feature_names,
-    load_features_csv,
+    load_features,
     make_confounding_label,
     norm_summary,
-    save_features_csv,
+    save_features,
+    unlabeled_features,
 )
 from gradgate.nn import (
     FORWARD_BLOCK,
@@ -394,37 +397,51 @@ class TestNormSummary:
             norm_summary(np.empty((0, 2)), [])
 
 
-class TestFeatureCsv:
+class TestFeatureFile:
     def test_round_trip_is_byte_identical(self, cnn, tmp_path):
         images = gen_glyphs(5, seed=8).images
         fs = extract_gradient_features(cnn, images, make_confounding_label(10), "clean")
-        first = tmp_path / "a.csv"
-        save_features_csv(fs, first)
-        reloaded = load_features_csv(first)
-        second = tmp_path / "b.csv"
-        save_features_csv(reloaded, second)
+        first = tmp_path / "a.gfeat"
+        save_features(fs, first)
+        reloaded = load_features(first)
+        second = tmp_path / "b.gfeat"
+        save_features(reloaded, second)
         assert first.read_bytes() == second.read_bytes()
         assert reloaded.values.tobytes() == fs.values.tobytes()
+        assert reloaded.sample_ids.tolist() == fs.sample_ids.tolist()
+        assert reloaded.anomaly_labels.tolist() == fs.anomaly_labels.tolist()
+        assert reloaded.tags == fs.tags
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_with_file_and_row(self, cnn, tmp_path, bad):
         fs = extract_gradient_features(cnn, gen_glyphs(3, seed=9).images,
                                        make_confounding_label(10), "clean")
-        path = tmp_path / "f.csv"
-        save_features_csv(fs, path)
-        lines = path.read_text().splitlines()
-        fields = lines[2].split(",")
-        fields[5] = bad
-        lines[2] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FeatureError, match="f.csv: non-finite value in row 1"):
-            load_features_csv(path)
+        fs.values[1, 2] = bad
+        path = tmp_path / "f.gfeat"
+        save_features(fs, path)
+        with pytest.raises(FeatureError, match="f.gfeat: non-finite value in row 1"):
+            load_features(path)
 
-    def test_header_checked(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("id,foo\n1,2\n")
-        with pytest.raises(FeatureError):
-            load_features_csv(bad)
+    @pytest.mark.parametrize("magic,metadata,records,error", [
+        (b"GDATA", {"source_tag": "a"}, [("values", np.zeros((2, 3)))], storage.BadMagicError),
+        (FEATURE_MAGIC, {}, [("values", np.zeros((2, 3)))], storage.RecordError),
+        (FEATURE_MAGIC, {"source_tag": "a"}, [("vals", np.zeros((2, 3)))], storage.RecordError),
+        (FEATURE_MAGIC, {"source_tag": "a"}, [("values", np.zeros(3))], storage.RecordError),
+        (FEATURE_MAGIC, {"source_tag": "a"},
+         [("values", np.zeros((2, 3))), ("values", np.zeros((2, 3)))], storage.RecordError)])
+    def test_other_magic_or_layout_rejected(self, tmp_path, magic, metadata, records, error):
+        path = tmp_path / "bad.gfeat"
+        storage.write_container(path, magic, metadata, records)
+        with pytest.raises(error):
+            load_features(path)
+
+    def test_save_refuses_rows_it_cannot_store(self, tmp_path):
+        fs = unlabeled_features(np.zeros((3, 2)), "a")
+        for other in (fs.with_anomaly_label(1), fs.subset([0, 2]),
+                      concat_features([fs, unlabeled_features(np.zeros((1, 2)), "b")])):
+            with pytest.raises(FeatureError, match="only the unlabeled rows"):
+                save_features(other, tmp_path / "x.gfeat")
+        assert list(tmp_path.iterdir()) == []
 
     def test_concat_requires_same_dim(self):
         a = FeatureSet(np.zeros((2, 3)), np.arange(2), np.zeros(2, dtype=np.int64), ["x", "x"])
