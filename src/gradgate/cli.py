@@ -1,20 +1,22 @@
 """Command-line pipeline: train, generate anomalies, extract features,
 detect, and report.
 
-Artifacts are named by the resolved config digest, so every command is
-idempotent: reruns with unchanged inputs reuse what is already on disk.
-Each artifact is loaded or made on its own, so a missing file costs only
-the work that makes it. Every command takes its inputs from the config
-alone and runs the ``ensure_*`` chain of ``run_experiment`` up to its own
-stage, so a digest only ever names what that config makes.
+Every artifact of a run is a node of one graph, keyed ``(kind, *args)``.
+:data:`ARTIFACTS` declares each kind: its file, its inputs, and how to make,
+save, load and check it. Files are named by the resolved config digest, so
+every command is idempotent. A :class:`Run` checks a node whose file exists
+on its header alone, and reads its payload only when a maker or the report
+demands it; a missing file costs only the work that makes it. Every command
+checks the graph of ``run_experiment`` up to its own stage, so a digest only
+ever names what that config makes.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,15 +29,11 @@ class PipelineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# cached pipeline stages
+# the artifact graph
 # ---------------------------------------------------------------------------
 
-def _artifact(cfg: ExperimentConfig, out: Path, stem: str, ext: str) -> Path:
-    """The path of one artifact of this config: ``<stem>-<digest>.<ext>``."""
-    return out / f"{stem}-{cfg.digest()}.{ext}"
-
-
-def make_splits(cfg: ExperimentConfig):
+def make_splits(cfg: ExperimentConfig) -> list:
+    """[train, val, test], the test part cut to ``attack_count`` samples."""
     if cfg.dataset_kind == "glyphs":
         ds = data.gen_glyphs(cfg.dataset_count, seed=child_seed(cfg.master_seed, "data"))
     else:
@@ -43,58 +41,42 @@ def make_splits(cfg: ExperimentConfig):
         if cfg.dataset_count < len(ds):
             ds = ds.subset(np.arange(cfg.dataset_count))
     test_fraction = 1.0 - cfg.train_fraction - cfg.val_fraction
-    return data.split(ds, (cfg.train_fraction, cfg.val_fraction, test_fraction),
-                      seed=child_seed(cfg.master_seed, "split"))
+    train, val, test = data.split(ds, (cfg.train_fraction, cfg.val_fraction, test_fraction),
+                                  seed=child_seed(cfg.master_seed, "split"))
+    if cfg.attack_count and cfg.attack_count < len(test):
+        test = test.subset(np.arange(cfg.attack_count))
+    return [train, val, test]
 
 
-def ensure_classifier(cfg: ExperimentConfig, out: Path):
-    """Train (or reload) the classifier for this config digest."""
-    path = _artifact(cfg, out, "classifier", "ggate")
-    if path.exists():
-        return nn.load_checkpoint(path), path
-    train, val, _ = make_splits(cfg)
+def _train(run, split):
+    """Train the classifier and write its history. The split's train and
+    val parts are dropped, since nothing else reads them."""
+    cfg = run.cfg
     model = nn.build_classifier(cfg.arch_spec(), seed=child_seed(cfg.master_seed, "init"))
-    model, history = nn.train_classifier(model, train, val, cfg.train_config())
-    with storage.atomic_open(_artifact(cfg, out, "history", "txt")) as fh:
+    model, history = nn.train_classifier(model, split[0], split[1], cfg.train_config())
+    split[:2] = None, None
+    with storage.atomic_open(run.path("history", "txt")) as fh:
         for h in history:
             fh.write(f"epoch={h['epoch']} train_loss={h['train_loss']:.6f} "
                      f"train_accuracy={h['train_accuracy']:.4f} "
                      f"val_accuracy={h['val_accuracy']:.4f}\n")
-    nn.save_checkpoint(model, path)  # last: the checkpoint's existence means "done"
-    return model, path
+    return model  # saved after the history: the checkpoint's existence means "done"
 
 
-def ensure_anomalies(cfg: ExperimentConfig, model, out: Path) -> dict:
-    """Generate (or reload) the clean test set, adversarial sets, and OOD
-    sets, keyed by source tag in that order. Each set is loaded or made on
-    its own; adversarial outputs pass exact budget and range gates before
-    anything is written."""
-    tags = ["clean-test", *(f"adv-{kind}" for kind in cfg.attack_kinds),
-            *(f"ood-{kind}" for kind in cfg.ood_kinds)]
-    sets, test = {}, None
-    for tag in tags:
-        path = _artifact(cfg, out, tag, "gdata")
-        if path.exists():
-            sets[tag] = data.load_dataset(path)
-            continue
-        origin, kind = tag.split("-", 1)
-        if origin != "ood" and test is None:  # built at most once, and only when needed
-            _, _, test = make_splits(cfg)
-            if cfg.attack_count and cfg.attack_count < len(test):
-                test = test.subset(np.arange(cfg.attack_count))
-        if origin == "clean":
-            ds = data.Dataset(test.images, test.labels, tag, test.seed)
-        elif origin == "adv":
-            acfg = cfg.attack_config(kind)
-            result = attacks.run_attack(model, test.images, test.labels, acfg)
-            _gate_attack(kind, result, acfg)
-            ds = data.Dataset(result.images, test.labels, tag, acfg.seed)
-        else:
-            ds = data.gen_ood(kind, cfg.ood_count, seed=child_seed(cfg.master_seed, tag),
-                              shape=model.arch.input_shape)
-        data.save_dataset(ds, path, extra_metadata={"config_digest": cfg.digest()})
-        sets[tag] = ds
-    return sets
+def _make_set(run, tag: str, *inputs):
+    """The clean test set, an adversarial set or an OOD set. Adversarial
+    outputs pass exact budget and range gates before anything is written."""
+    cfg, (origin, kind) = run.cfg, tag.split("-", 1)
+    if origin == "ood":
+        return data.gen_ood(kind, cfg.ood_count, seed=child_seed(cfg.master_seed, tag),
+                            shape=cfg.arch_spec().input_shape)
+    test = inputs[-1][2]
+    if origin == "clean":
+        return data.Dataset(test.images, test.labels, tag, test.seed)
+    acfg = cfg.attack_config(kind)
+    result = attacks.run_attack(inputs[0], test.images, test.labels, acfg)
+    _gate_attack(kind, result, acfg)
+    return data.Dataset(result.images, test.labels, tag, acfg.seed)
 
 
 def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
@@ -107,30 +89,24 @@ def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
         raise PipelineError(f"{kind}: non-finite adversarial pixels")
 
 
-def ensure_features(cfg: ExperimentConfig, model, sets: dict, mode: str, out: Path) -> dict:
-    """Extract (or reload) one feature file per anomaly source for a mode;
-    a cached file must hold one row per sample of its set, and that set's tag."""
-    label = cfg.confounding_label(model.num_classes)
-    features = {}
-    for tag, ds in sets.items():
-        path = _artifact(cfg, out, f"features-{mode}-{tag}", "gfeat")
-        if path.exists():
-            fs = gradfeat.load_features(path)
-            if len(fs) != len(ds):
-                raise gradfeat.FeatureError(
-                    f"{path}: {len(fs)} rows for a set of {len(ds)} samples")
-            if fs.tags != [tag] * len(ds):
-                raise gradfeat.FeatureError(f"{path}: features of {fs.tags[0]!r}, not of {tag!r}")
-        else:
-            fs = gradfeat.extract_features(model, ds.images, mode, label, tag)
-            gradfeat.save_features(fs, path)
-        features[tag] = fs
-    return features
+def _check_features(run, header: storage.Header, mode: str, tag: str) -> None:
+    """A feature file holds one row per sample of its set, and that set's tag."""
+    rows, want, got = header.rows("values"), run.rows(tag), header.metadata.get("source_tag")
+    if rows != want:
+        raise gradfeat.FeatureError(f"{header.path}: {rows} rows for a set of {want} samples")
+    if got != tag:
+        raise gradfeat.FeatureError(f"{header.path}: features of {got!r}, not of {tag!r}")
 
 
-def detect_and_report(cfg: ExperimentConfig, normal, anomalous, seed: int):
-    """Split, train the detector, and score the held-out test part."""
+def detect_and_report(run, tag: str, method: str, normal, anomalous):
+    """Split both sides 40/40/20 and score the held-out test part: by a
+    detector trained on the rest, or, for MSP, by its one column."""
+    seed = child_seed(run.cfg.master_seed, f"detect:{tag}")
     train, val, test = detector.assemble_detection_sets(normal, anomalous, seed)
+    if method == "msp":
+        return detector.ScoredSamples(test.sample_ids, test.anomaly_labels,
+                                      test.values[:, 0], list(test.tags))
+    cfg = run.cfg
     det = detector.train_detector(
         train, val, hidden=cfg.hidden, seed=seed,
         learning_rate=cfg.detector_learning_rate, batch_size=cfg.detector_batch_size,
@@ -138,33 +114,10 @@ def detect_and_report(cfg: ExperimentConfig, normal, anomalous, seed: int):
     return detector.score(det, test)
 
 
-def msp_report(clean_scores, anom_scores, anom_tag: str, seed: int):
-    """Baseline scores on the same 40/40/20 test partition the detectors use."""
-    _, _, test = detector.assemble_detection_sets(
-        gradfeat.unlabeled_features(clean_scores[:, None], "clean-test"),
-        gradfeat.unlabeled_features(anom_scores[:, None], anom_tag), seed)
-    return detector.ScoredSamples(test.sample_ids, test.anomaly_labels,
-                                  test.values[:, 0], list(test.tags))
-
-
-def _test_part(sets: dict, tag: str, seed: int):
-    """The rows of the 40/40/20 test part that every method at ``tag``
-    scores, in order. The split reads only the sizes and tags of the two
-    sets, so zero-width features give the same rows as any method's."""
-    _, _, test = detector.assemble_detection_sets(
-        *(gradfeat.unlabeled_features(np.zeros((len(sets[t]), 0)), t)
-          for t in ("clean-test", tag)), seed)
-    return test
-
-
-def ensure_scores(path: Path, part, make) -> detector.ScoredSamples:
-    """Load (or make with ``make()`` and save) one report row's scores; a
-    cached score file must hold exactly the ids and labels of ``part``, in
-    order, and takes its tags from ``part``."""
-    if not path.exists():
-        scored = make()
-        detector.save_scores(scored, path)
-        return scored
+def _load_scores(run, path: Path, tag: str, method: str) -> detector.ScoredSamples:
+    """A score file must hold exactly the ids and labels of its row's test
+    part, in order, and takes its tags from that part."""
+    part = run.demand(("part", tag))
     ids, labels, scores = detector.load_scores(path)
     if not (np.array_equal(ids, part.sample_ids) and np.array_equal(labels, part.anomaly_labels)):
         raise detector.ScoreError(
@@ -172,38 +125,153 @@ def ensure_scores(path: Path, part, make) -> detector.ScoredSamples:
     return detector.ScoredSamples(part.sample_ids, part.anomaly_labels, scores, part.tags)
 
 
+class Kind(NamedTuple):
+    """``make(run, *args, *values)`` gets the values of the keys
+    ``inputs(run, *args)``. A kind with ``file(*args) -> (stem, ext)`` is
+    written by ``save`` and read by ``load``; ``check(run, header, *args)``
+    raises on a whole file that is not this node's, and a file kind without
+    one is checked by loading it. Other kinds live in memory only."""
+
+    inputs: Callable
+    make: Callable
+    file: Callable = None
+    magic: bytes = b""
+    save: Callable = None
+    load: Callable = None
+    check: Callable = None
+
+
+SPLIT, CLASSIFIER = ("split",), ("classifier",)
+METHODS = (*gradfeat.FEATURE_MODES, "msp")
+
+# Stage functions are looked up in their modules at call time, so a binding
+# replaced from outside (a tracer, a test spy) is the one that runs.
+ARTIFACTS = {
+    "split": Kind(inputs=lambda run: [], make=lambda run: make_splits(run.cfg)),
+    "classifier": Kind(
+        inputs=lambda run: [SPLIT], make=_train,
+        file=lambda: ("classifier", "ggate"), magic=nn.CHECKPOINT_MAGIC,
+        save=lambda run, model, path: nn.save_checkpoint(model, path),
+        load=lambda run, path: nn.load_checkpoint(path), check=lambda run, header: None),
+    "set": Kind(
+        inputs=lambda run, tag: {"clean": [SPLIT], "adv": [CLASSIFIER, SPLIT],
+                                 "ood": []}[tag.split("-")[0]],
+        make=_make_set, file=lambda tag: (tag, "gdata"), magic=data.DATASET_MAGIC,
+        save=lambda run, ds, path: data.save_dataset(
+            ds, path, extra_metadata={"config_digest": run.digest}),
+        load=lambda run, path, tag: data.load_dataset(path),
+        check=lambda run, header, tag: header.rows("images")),
+    "features": Kind(
+        inputs=lambda run, mode, tag: [CLASSIFIER, ("set", tag)],
+        make=lambda run, mode, tag, model, ds: gradfeat.extract_features(
+            model, ds.images, mode, run.cfg.confounding_label(model.num_classes), tag),
+        file=lambda mode, tag: (f"features-{mode}-{tag}", "gfeat"), magic=gradfeat.FEATURE_MAGIC,
+        save=lambda run, fs, path: gradfeat.save_features(fs, path),
+        load=lambda run, path, mode, tag: gradfeat.load_features(path), check=_check_features),
+    # MSP scores as a one-column feature set, so every method splits alike
+    "msp": Kind(inputs=lambda run, tag: [CLASSIFIER, ("set", tag)],
+                make=lambda run, tag, model, ds: gradfeat.unlabeled_features(
+                    detector.msp_scores(model, ds.images)[:, None], tag)),
+    # the rows every method at a tag scores; they follow from the sets' sizes
+    "part": Kind(inputs=lambda run, tag: [], make=lambda run, tag: detector.detection_test_part(
+        [(t, run.rows(t)) for t in ("clean-test", tag)],
+        child_seed(run.cfg.master_seed, f"detect:{tag}"))),
+    "scores": Kind(
+        inputs=lambda run, tag, method: [("msp", t) if method == "msp" else ("features", method, t)
+                                         for t in ("clean-test", tag)],
+        make=lambda *args: detect_and_report(*args),
+        file=lambda tag, method: (f"scores-{tag}-{method}", "gscore"),
+        save=lambda run, scored, path: detector.save_scores(scored, path), load=_load_scores),
+}
+
+
+class Run:
+    """The artifact graph of one config in one output directory: each node
+    is loaded or made at most once, and its value kept."""
+
+    def __init__(self, cfg: ExperimentConfig, out: Path):
+        out.mkdir(parents=True, exist_ok=True)
+        storage.remove_stale_temporaries(out)
+        self.cfg, self.out, self.digest = cfg, out, cfg.digest()
+        self.tags = tags = ["clean-test", *(f"adv-{kind}" for kind in cfg.attack_kinds),
+                            *(f"ood-{kind}" for kind in cfg.ood_kinds)]
+        # every file node by kind, in the order a cold run makes them
+        self.keys = {"classifier": [CLASSIFIER], "set": [("set", t) for t in tags],
+                     "features": [("features", m, t) for m in gradfeat.FEATURE_MODES
+                                  for t in tags],
+                     "scores": [("scores", t, m) for t in tags[1:] for m in METHODS]}
+        self.values, self.headers = {}, {}
+
+    def path(self, stem: str, ext: str) -> Path:
+        return self.out / f"{stem}-{self.digest}.{ext}"
+
+    def check(self, *kinds: str) -> None:
+        """Check every node of ``kinds`` in order: see :meth:`header`."""
+        for kind in kinds:
+            for key in self.keys[kind]:
+                self.header(key)
+
+    def header(self, key):
+        """Check that the file of ``key`` is whole and this node's, reading
+        its header only, or make the node when its file is missing. Returns
+        the header, or None when only the value is known."""
+        if key not in self.headers and key not in self.values:
+            kind, path = self._kind(key)
+            if kind.check and path.exists():
+                header = storage.read_header(path, kind.magic)
+                kind.check(self, header, *key[1:])
+                self.headers[key] = header
+            else:
+                self.demand(key)
+        return self.headers.get(key)
+
+    def demand(self, key):
+        """The value of ``key``: loaded from its checked file, or made from
+        its inputs and saved."""
+        if key not in self.values:
+            kind, path = self._kind(key)
+            if path and path.exists():
+                if kind.check:
+                    self.header(key)
+                value = kind.load(self, path, *key[1:])
+            else:
+                value = kind.make(self, *key[1:], *map(self.demand, kind.inputs(self, *key[1:])))
+                if path:
+                    kind.save(self, value, path)
+            self.values[key] = value
+        return self.values[key]
+
+    def rows(self, tag: str) -> int:
+        """The sample count of set ``tag``, from its header if it has one."""
+        header = self.header(("set", tag))
+        return header.rows("images") if header else len(self.values[("set", tag)])
+
+    def _kind(self, key) -> tuple:
+        kind = ARTIFACTS[key[0]]
+        return kind, kind.file and self.path(*kind.file(*key[1:]))
+
+
+def ensure_classifier(cfg: ExperimentConfig, out: Path):
+    """Train (or reload) the classifier for this config digest."""
+    run = Run(cfg, out)
+    return run.demand(CLASSIFIER), run.path("classifier", "ggate")
+
+
 def run_experiment(cfg: ExperimentConfig, out: Path) -> list:
     """Full pipeline; returns MetricReport rows, one per source and method.
-    A row whose score file exists is read from it, so a rerun fits no
-    detector and runs no MSP forward."""
-    out.mkdir(parents=True, exist_ok=True)
-    model, _ = ensure_classifier(cfg, out)
-    sets = ensure_anomalies(cfg, model, out)
-    feature_sets = {mode: ensure_features(cfg, model, sets, mode, out)
-                    for mode in gradfeat.FEATURE_MODES}
-    # each set's MSP forward runs once, and only when a row that needs it misses
-    msp = functools.cache(lambda tag: detector.msp_scores(model, sets[tag].images))
-
+    Every artifact is checked, or made when missing, so a full hit reads
+    only the score files' payloads."""
+    run = Run(cfg, out)
+    run.check("classifier", "set", "features")
     rows = []
-    for tag in list(sets)[1:]:  # every source after clean-test
-        seed = child_seed(cfg.master_seed, f"detect:{tag}")
-        part = _test_part(sets, tag, seed)
-        makers = {mode: functools.partial(detect_and_report, cfg, feature_sets[mode]["clean-test"],
-                                          feature_sets[mode][tag], seed)
-                  for mode in gradfeat.FEATURE_MODES}
-        makers["msp"] = lambda: msp_report(msp("clean-test"), msp(tag), tag, seed)
-        for method, make in makers.items():
-            scored = ensure_scores(_artifact(cfg, out, f"scores-{tag}-{method}", "gscore"),
-                                   part, make)
-            rows.append(_report_row(tag, method, scored, detector.evaluate(scored)))
+    for key in run.keys["scores"]:
+        scored = run.demand(key)
+        m = detector.evaluate(scored)
+        rows.append(detector.MetricReport(*key[1:], m["accuracy"], m["auroc"], m["aupr"],
+                                          int((scored.labels == 0).sum()),
+                                          int((scored.labels == 1).sum())))
     write_report(cfg, rows, out)
     return rows
-
-
-def _report_row(tag: str, method: str, scored, metrics: dict) -> detector.MetricReport:
-    return detector.MetricReport(tag, method, metrics["accuracy"], metrics["auroc"],
-                                 metrics["aupr"], int((scored.labels == 0).sum()),
-                                 int((scored.labels == 1).sum()))
 
 
 def report_kv_text(cfg: ExperimentConfig, rows) -> str:
@@ -230,7 +298,7 @@ def report_table_text(cfg: ExperimentConfig, rows) -> str:
 def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
     """Write ``report-<digest>.kv`` and ``report-<digest>.txt``."""
     for suffix, render in (("kv", report_kv_text), ("txt", report_table_text)):
-        with storage.atomic_open(_artifact(cfg, out, "report", suffix)) as fh:
+        with storage.atomic_open(out / f"report-{cfg.digest()}.{suffix}") as fh:
             fh.write(render(cfg, rows))
 
 
@@ -238,61 +306,52 @@ def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _setup(args):
-    """Load the config with the command-line overrides and create its output
-    directory; returns (config, output directory)."""
+def _run(args, *kinds: str) -> Run:
+    """The run of the config file with the command-line overrides, with
+    every node of ``kinds`` checked."""
     cfg = ExperimentConfig.from_file(args.config,
                                      {"out_dir": args.out, "master_seed": args.seed})
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
+    run = Run(cfg, Path(cfg.out_dir))
+    run.check(*kinds)
+    return run
 
 
 def cmd_train_classifier(args) -> int:
-    cfg, out = _setup(args)
-    model, path = ensure_classifier(cfg, out)
+    run = _run(args)
+    model, path = ensure_classifier(run.cfg, run.out)
     print(f"checkpoint: {path}")
     print(f"val_accuracy: {model.val_accuracy}")
     return 0
 
 
-def _sets(cfg: ExperimentConfig, out: Path):
-    """The classifier and every set of the run, each loaded or made."""
-    model, _ = ensure_classifier(cfg, out)
-    return model, ensure_anomalies(cfg, model, out)
-
-
 def cmd_gen_anomalies(args) -> int:
-    cfg, out = _setup(args)
-    _, sets = _sets(cfg, out)
-    for tag, ds in sets.items():
-        print(f"{tag}: {len(ds)} samples")
+    run = _run(args, "classifier", "set")
+    for tag in run.tags:
+        print(f"{tag}: {run.rows(tag)} samples")
     return 0
 
 
 def cmd_extract_features(args) -> int:
-    cfg, out = _setup(args)
-    model, sets = _sets(cfg, out)
-    for mode in gradfeat.FEATURE_MODES:
-        for tag, fs in ensure_features(cfg, model, sets, mode, out).items():
-            print(f"{mode} {tag}: {fs.dim} columns, {len(fs)} rows")
+    run = _run(args, "classifier", "set", "features")
+    for key in run.keys["features"]:
+        fs = run.demand(key)
+        print(f"{key[1]} {key[2]}: {fs.dim} columns, {len(fs)} rows")
     return 0
 
 
 def cmd_run_experiment(args) -> int:
-    cfg, out = _setup(args)
-    rows = run_experiment(cfg, out)
-    print(report_table_text(cfg, rows))
-    print(f"report: {_artifact(cfg, out, 'report', 'kv')}")
+    run = _run(args)
+    rows = run_experiment(run.cfg, run.out)
+    print(report_table_text(run.cfg, rows))
+    print(f"report: {run.path('report', 'kv')}")
     return 0
 
 
 def cmd_compare_norms(args) -> int:
-    cfg, out = _setup(args)
-    model, sets = _sets(cfg, out)
-    lines = []
+    run = _run(args, "classifier", "set")
+    model, lines = run.demand(CLASSIFIER), []
     for mode in gradfeat.FEATURE_MODES:
-        merged = gradfeat.concat_features(ensure_features(cfg, model, sets, mode, out).values())
+        merged = gradfeat.concat_features(run.demand(("features", mode, tag)) for tag in run.tags)
         summary = gradfeat.norm_summary(merged.values, merged.tags)
         for j, name in enumerate(gradfeat.feature_names(model, mode)):
             lines.append(f"== {mode} / {name} ==")
@@ -302,7 +361,7 @@ def cmd_compare_norms(args) -> int:
                 lines.append(f"{tag:<22}{mn:>12.4g}{q1:>12.4g}{med:>12.4g}{q3:>12.4g}{mx:>12.4g}")
             lines.append("")
     text = "\n".join(lines)
-    with storage.atomic_open(_artifact(cfg, out, "norms", "txt")) as fh:
+    with storage.atomic_open(run.path("norms", "txt")) as fh:
         fh.write(text + "\n")
     print(text)
     return 0

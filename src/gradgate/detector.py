@@ -60,49 +60,54 @@ def _check_binary(labels) -> np.ndarray:
     return labels
 
 
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing the mean of their rank range."""
-    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)  # the rank of each tie run's last member
-    return (last - (counts - 1) / 2.0)[run]
-
-
-def auroc(labels, scores) -> float:
-    """Area under the ROC curve via the rank statistic with midranks."""
+def _ranked(labels, scores) -> tuple:
+    """One label check and one stable descending sort, shared by the
+    metrics of a row: (labels, ends, positives), where ``ends`` holds the
+    last sorted position of each run of tied scores and ``positives`` the
+    count of positives up to it."""
     labels = _check_binary(labels)
     scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], len(s) > 0))
+    return labels, ends, np.cumsum(labels[order] == 1)[ends]
+
+
+def auroc(labels, scores, ranked=None) -> float:
+    """Area under the ROC curve via the rank statistic with midranks: tied
+    scores share the mean of their 1-based ascending rank range. Every rank
+    is a multiple of 1/2, so the rank sum is exact in any order. ``ranked``
+    is :func:`_ranked` of the same arguments, if already computed."""
+    labels, ends, positives = ranked or _ranked(labels, scores)
     n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc requires both classes")
-    ranks = _midranks(scores)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    counts = np.diff(ends, prepend=-1)
+    midranks = (len(labels) - (ends - counts + 1)) - (counts - 1) / 2.0
+    u = midranks @ np.diff(positives, prepend=0) - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def aupr(labels, scores) -> float:
+def aupr(labels, scores, ranked=None) -> float:
     """Area under the precision-recall curve, anomalous as positive,
-    step-interpolated over distinct thresholds in descending order."""
-    labels = _check_binary(labels)
-    scores = np.asarray(scores, dtype=np.float64)
+    step-interpolated over distinct thresholds in descending order.
+    ``ranked`` is :func:`_ranked` of the same arguments, if already computed."""
+    labels, ends, positives = ranked or _ranked(labels, scores)
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise ValueError("aupr requires at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    tp = np.cumsum(labels[order] == 1)
-    # the last index of each tied-score run (threshold boundaries)
-    boundary = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    precision = tp[boundary] / (boundary + 1)
-    recall = tp[boundary] / n_pos
+    precision = positives / (ends + 1)
+    recall = positives / n_pos
     # cumsum adds in order, as the step sum is defined; np.sum would pair terms
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def detection_accuracy(labels, scores, threshold: float = 0.5) -> float:
+def detection_accuracy(labels, scores, threshold: float = 0.5, ranked=None) -> float:
     """Fraction of samples on the correct side of the threshold; scores at
-    or above the threshold predict anomalous."""
-    labels = _check_binary(labels)
+    or above the threshold predict anomalous. ``ranked`` is :func:`_ranked`
+    of the same labels and scores, if already computed."""
+    labels = ranked[0] if ranked else _check_binary(labels)
     if len(labels) == 0:
         raise ValueError("detection_accuracy of an empty set of labels and scores")
     pred = (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.int64)
@@ -110,10 +115,12 @@ def detection_accuracy(labels, scores, threshold: float = 0.5) -> float:
 
 
 def evaluate(scored: ScoredSamples, threshold: float = 0.5) -> dict:
+    """Accuracy, AUROC and AUPR of one row, from one label check and one sort."""
+    ranked = _ranked(scored.labels, scored.scores)
     return {
-        "accuracy": detection_accuracy(scored.labels, scored.scores, threshold),
-        "auroc": auroc(scored.labels, scored.scores),
-        "aupr": aupr(scored.labels, scored.scores),
+        "accuracy": detection_accuracy(scored.labels, scored.scores, threshold, ranked),
+        "auroc": auroc(scored.labels, scored.scores, ranked),
+        "aupr": aupr(scored.labels, scored.scores, ranked),
     }
 
 
@@ -148,22 +155,34 @@ def assemble_detection_sets(normal: FeatureSet, anomalous: FeatureSet, seed: int
     would leave one of its parts empty."""
     if normal.dim != anomalous.dim:
         raise ValueError(f"feature dims differ: {normal.dim} vs {anomalous.dim}")
-    normal_parts = _split_side(normal, "normal", 0, seed)
-    anomalous_parts = _split_side(anomalous, "anomalous", 1, seed)
-    return tuple(concat_features(pair) for pair in zip(normal_parts, anomalous_parts))
+    sides = [[fs.with_anomaly_label(label).subset(rows)
+              for rows in _side_rows(_tag_groups(fs), len(fs), side, label, seed)]
+             for label, side, fs in ((0, "normal", normal), (1, "anomalous", anomalous))]
+    return tuple(concat_features(pair) for pair in zip(*sides))
 
 
-def _split_side(fs: FeatureSet, side: str, label: int, seed: int) -> list:
-    """One side, labeled ``label``, cut by a generator seeded with (seed, label)."""
-    if len(fs) == 0:
+def _side_rows(groups, n: int, side: str, label: int, seed: int) -> list:
+    """The sorted rows of each 40/40/20 part of a side of ``n`` rows, cut by
+    a generator seeded with (seed, label)."""
+    if n == 0:
         raise ValueError(f"the {side} side is empty")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, label)))
-    parts = stratify(_tag_groups(fs), DETECTION_FRACTIONS, rng)
+    parts = stratify(groups, DETECTION_FRACTIONS, rng)
     if any(len(part) == 0 for part in parts):
-        raise ValueError(f"the {side} side's {len(fs)} rows leave a part of the "
+        raise ValueError(f"the {side} side's {n} rows leave a part of the "
                          f"40/40/20 detection split empty")
-    fs = fs.with_anomaly_label(label)
-    return [fs.subset(part) for part in parts]
+    return parts
+
+
+def detection_test_part(sides, seed: int) -> FeatureSet:
+    """The test part :func:`assemble_detection_sets` cuts from a normal and
+    an anomalous set of one source each, from their sizes alone: ``sides``
+    is ((tag, rows), (tag, rows)), normal first. It has no columns."""
+    rows = [_side_rows([np.arange(n)], n, side, label, seed)[2]
+            for label, side, (_, n) in zip((0, 1), ("normal", "anomalous"), sides)]
+    return FeatureSet(np.zeros((sum(map(len, rows)), 0)), np.concatenate(rows),
+                      np.repeat([0, 1], [len(r) for r in rows]),
+                      [tag for (tag, _), r in zip(sides, rows) for _ in r])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from gradgate import cli, detector, nn, storage
 from gradgate.attacks import AttackConfig, AttackResult
 from gradgate.config import ExperimentConfig, child_seed
 from gradgate import gradfeat
-from gradgate.data import gen_glyphs, load_dataset
+from gradgate.data import gen_glyphs, load_dataset, save_dataset
 from gradgate.nn import build_classifier, load_checkpoint, small_cnn
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,26 +202,29 @@ class TestGenAnomalies:
     def test_test_split_built_once_and_only_when_a_set_needs_it(self, tiny_config,
                                                                 monkeypatch):
         path, out = tiny_config
-        cli.main(["train-classifier", "--config", str(path)])
         cfg = ExperimentConfig.from_file(path)
-        model = load_checkpoint(out / f"classifier-{cfg.digest()}.ggate")
-        first = cli.ensure_anomalies(cfg, model, out)
         calls = []
         make_splits = cli.make_splits
         monkeypatch.setattr(cli, "make_splits", lambda c: calls.append(c) or make_splits(c))
+        cli.run_experiment(cfg, out)
+        assert len(calls) == 1  # the classifier and the clean and attack sets share it
+        sets = [("set", tag) for tag in TestExtractAndDetect.TAGS]
+        first = [cli.Run(cfg, out).demand(key) for key in sets]  # loaded, not made
 
+        calls.clear()
         (out / f"ood-uniform-noise-{cfg.digest()}.gdata").unlink()
-        cli.ensure_anomalies(cfg, model, out)
-        assert calls == []  # an OOD set takes its shape from the model
+        cli.Run(cfg, out).check("classifier", "set")
+        assert calls == []  # an OOD set takes its shape from the config
         for tag in ("clean-test", "adv-fgsm", "adv-semantic"):
             (out / f"{tag}-{cfg.digest()}.gdata").unlink()
-        again = cli.ensure_anomalies(cfg, model, out)
+        run = cli.Run(cfg, out)
+        run.check("classifier", "set")
         assert len(calls) == 1
-        assert list(again) == list(first)
-        for tag, ds in again.items():
-            assert ds.source_tag == tag
-            assert ds.images.tobytes() == first[tag].images.tobytes()
-            assert ds.labels.tobytes() == first[tag].labels.tobytes()
+        for key, ds in zip(sets, first):
+            again = run.demand(key)
+            assert again.source_tag == ds.source_tag == key[1]
+            assert again.images.tobytes() == ds.images.tobytes()
+            assert again.labels.tobytes() == ds.labels.tobytes()
 
     def test_budget_gate_rejects_violations(self):
         bad = AttackResult("fgsm", np.full((1, 1, 2, 2), 0.5),
@@ -266,33 +272,41 @@ class TestExtractAndDetect:
 
 
 class TestFeatureCache:
-    def test_cached_file_short_of_its_set_rejected(self, tmp_path):
-        cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
-        model = build_classifier(small_cnn(), seed=0)
-        sets = {"probe": gen_glyphs(5, seed=3)}
-        cli.ensure_features(cfg, model, sets, "activation", tmp_path)
-        path = tmp_path / f"features-activation-probe-{cfg.digest()}.gfeat"
-        values = gradfeat.load_features(path).values
-        gradfeat.save_features(gradfeat.unlabeled_features(values[:-1], "probe"), path)
-        with pytest.raises(gradfeat.FeatureError, match=f"{path.name}: 4 rows for a set of 5"):
-            cli.ensure_features(cfg, model, sets, "activation", tmp_path)
+    @pytest.fixture
+    def probe(self, tmp_path):
+        """A run of the default config with an untrained classifier and a
+        clean set of ``n`` glyphs on disk."""
+        def make(n):
+            run = cli.Run(ExperimentConfig(out_dir=str(tmp_path)).validate(), tmp_path)
+            model = build_classifier(small_cnn(), seed=0)
+            nn.save_checkpoint(model, run.path("classifier", "ggate"))
+            save_dataset(gen_glyphs(n, seed=3), run.path("clean-test", "gdata"))
+            return run
+        return make
 
-    def test_cached_file_of_another_set_rejected(self, tmp_path):
-        cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
-        model = build_classifier(small_cnn(), seed=0)
-        sets = {"probe": gen_glyphs(5, seed=3)}
-        cli.ensure_features(cfg, model, sets, "activation", tmp_path)
-        path = tmp_path / f"features-activation-probe-{cfg.digest()}.gfeat"
-        values = gradfeat.load_features(path).values
+    def test_cached_file_short_of_its_set_rejected(self, probe):
+        run = probe(5)
+        key = ("features", "activation", "clean-test")
+        values = run.demand(key).values
+        path = run.path("features-activation-clean-test", "gfeat")
+        gradfeat.save_features(gradfeat.unlabeled_features(values[:-1], "clean-test"), path)
+        with pytest.raises(gradfeat.FeatureError, match=f"{path.name}: 4 rows for a set of 5"):
+            cli.Run(run.cfg, run.out).header(key)
+
+    def test_cached_file_of_another_set_rejected(self, probe):
+        run = probe(5)
+        key = ("features", "activation", "clean-test")
+        values = run.demand(key).values
+        path = run.path("features-activation-clean-test", "gfeat")
         gradfeat.save_features(gradfeat.unlabeled_features(values, "other"), path)
         with pytest.raises(gradfeat.FeatureError,
-                           match=f"{path.name}: features of 'other', not of 'probe'"):
-            cli.ensure_features(cfg, model, sets, "activation", tmp_path)
+                           match=f"{path.name}: features of 'other', not of 'clean-test'"):
+            cli.Run(run.cfg, run.out).header(key)
 
-    def test_write_cut_short_is_regenerated(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig(out_dir=str(tmp_path)).validate()
-        model = build_classifier(small_cnn(), seed=0)
-        sets = {"probe": gen_glyphs(6, seed=3)}
+    def test_write_cut_short_is_regenerated(self, probe, monkeypatch):
+        run = probe(6)
+        seeded = sorted(p.name for p in run.out.iterdir())
+        key = ("features", "gradient", "clean-test")
         calls = []
 
         def crash_on_first_dim(fmt, *values):
@@ -301,18 +315,20 @@ class TestFeatureCache:
                 raise KeyboardInterrupt
             return struct.pack(fmt, *values)
 
+        for needed in (cli.CLASSIFIER, ("set", "clean-test")):
+            run.demand(needed)  # read before the patch: the loaders unpack with struct
         monkeypatch.setattr(storage, "struct", types.SimpleNamespace(pack=crash_on_first_dim))
         with pytest.raises(KeyboardInterrupt):
-            cli.ensure_features(cfg, model, sets, "gradient", tmp_path)
+            run.demand(key)
         assert len(calls) == 6
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(p.name for p in run.out.iterdir()) == seeded
 
         monkeypatch.undo()
-        features = cli.ensure_features(cfg, model, sets, "gradient", tmp_path)
-        path = tmp_path / f"features-gradient-probe-{cfg.digest()}.gfeat"
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert gradfeat.load_features(path).values.tobytes() == features["probe"].values.tobytes()
-        assert len(features["probe"]) == 6
+        features = cli.Run(run.cfg, run.out).demand(key)
+        path = run.path("features-gradient-clean-test", "gfeat")
+        assert sorted(p.name for p in run.out.iterdir()) == sorted([*seeded, path.name])
+        assert gradfeat.load_features(path).values.tobytes() == features.values.tobytes()
+        assert len(features) == 6
 
 
 class TestRunExperiment:
@@ -445,8 +461,64 @@ class TestRunExperiment:
         cli.run_experiment(cfg, out)
         victim, = out.glob(f"{stem}-{cfg.digest()}.*")
         victim.write_bytes(victim.read_bytes()[:-8])
-        with pytest.raises(storage.TruncatedError, match="file ends inside payload"):
+        with pytest.raises(storage.TruncatedError, match="file ends inside payload") as err:
             cli.run_experiment(cfg, out)
+        assert victim.name in str(err.value)
+
+    @pytest.mark.parametrize("keep,tag,error", [
+        (slice(1, None), "adv-fgsm", "39 rows for a set of 40 samples"),
+        (slice(None), "adv-semantic", "features of 'adv-semantic', not of 'adv-fgsm'")])
+    def test_feature_file_not_of_its_set_rejected(self, tiny_config, keep, tag, error):
+        path, out = tiny_config
+        cfg = ExperimentConfig.from_file(path)
+        cli.run_experiment(cfg, out)
+        victim = out / f"features-activation-adv-fgsm-{cfg.digest()}.gfeat"
+        values = gradfeat.load_features(victim).values[keep]
+        gradfeat.save_features(gradfeat.unlabeled_features(values, tag), victim)
+        with pytest.raises(gradfeat.FeatureError, match=f"{victim.name}: {error}"):
+            cli.run_experiment(cfg, out)
+
+    def test_full_hit_reads_headers_and_score_payloads_only(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        cfg = ExperimentConfig.from_file(path)
+        cold = cli.run_experiment(cfg, out)
+        calls, headers, payloads = [], [], []
+        for owner, name in ((nn, "load_checkpoint"), (gradfeat, "load_features"),
+                            (cli.data, "load_dataset"), (nn.Classifier, "forward")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+        for name, seen in (("read_header", headers), ("read_container", payloads)):
+            fn = getattr(storage, name)
+            monkeypatch.setattr(storage, name,
+                                lambda p, magic, fn=fn, seen=seen: seen.append(Path(p).name) or
+                                fn(p, magic))
+        assert cli.run_experiment(cfg, out) == cold
+        assert calls == []
+        names = sorted(p.name for p in out.iterdir())
+        assert sorted(headers) == [n for n in names if n.endswith((".ggate", ".gdata", ".gfeat"))]
+        assert sorted(payloads) == [n for n in names if n.endswith(".gscore")]
+
+    def test_rerun_after_a_kill_before_a_rename_matches_an_unkilled_run(self, tiny_config,
+                                                                         tmp_path, monkeypatch):
+        path, out = tiny_config
+        renames, replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: renames.append(Path(dst).name) or
+                            replace(src, dst))
+        assert cli.main(["run-experiment", "--config", str(path)]) == 0
+        monkeypatch.undo()
+        want = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(renames) == len(want)
+        for stem in ("adv-semantic-", "features-gradient-adv-fgsm-", "scores-adv-fgsm-msp-"):
+            k = next(i for i, name in enumerate(renames, 1) if name.startswith(stem))
+            killed = tmp_path / f"killed-{k}"
+            args = ["run-experiment", "--config", str(path), "--out", str(killed)]
+            proc = subprocess.run([sys.executable, str(ROOT / "tests" / "crash_at_rename.py"),
+                                   str(k), *args], capture_output=True)
+            assert proc.returncode == 137, proc.stderr
+            assert [p.name for p in killed.glob("*.tmp")] != []  # the k-th file, not renamed
+            assert cli.main(args) == 0
+            assert {p.name: p.read_bytes() for p in killed.iterdir()} == want, renames[k - 1]
 
     def test_cold_run_writes_no_csv(self, tiny_config):
         path, out = tiny_config
@@ -531,8 +603,8 @@ class TestCompareNorms:
         monkeypatch.setattr(gradfeat, "extract_gradient_features", spy)
         assert cli.main(["compare-norms", "--config", str(path)]) == 0
         assert len(labels) == 4  # one call per set of the run
-        model, _ = cli.ensure_classifier(cfg, out)
-        cli.ensure_features(cfg, model, {"probe": gen_glyphs(4, seed=1)}, "gradient", out)
+        (out / f"features-gradient-adv-fgsm-{cfg.digest()}.gfeat").unlink()
+        cli.run_experiment(cfg, out)
         *compare, pipeline = labels
         assert pipeline.descriptor.startswith("k-hot-3-")
         for label in compare:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gradgate import storage
+from gradgate import gradfeat, storage
 from gradgate.data import allocate_counts
 from gradgate.detector import (
     DETECTION_FRACTIONS,
     SCORE_BLOCK,
     SCORE_MAGIC,
     assemble_detection_sets,
+    detection_test_part,
     aupr,
     auroc,
     detection_accuracy,
@@ -209,6 +210,45 @@ def test_rank_metrics_bit_equal_to_loops_on_tie_heavy_inputs():
     assert seen_negative_zero
 
 
+def evaluate_reference(labels, scores, threshold=0.5):
+    """``evaluate`` as computed before its metrics shared one sort: midranks
+    from ``np.unique``, a separate descending argsort for AUPR, and a label
+    check per metric."""
+    def check(labels):
+        labels = np.asarray(labels)
+        assert np.all((labels == 0) | (labels == 1))
+        return labels
+
+    labels, scores = check(labels), np.asarray(scores, dtype=np.float64)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    _, run, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
+    u = ranks[check(labels) == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    tp = np.cumsum(check(labels)[order] == 1)
+    boundary = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    precision, recall = tp[boundary] / (boundary + 1), tp[boundary] / n_pos
+    pred = (scores >= threshold).astype(np.int64)
+    return {"accuracy": float((pred == labels).mean()), "auroc": float(u / (n_pos * n_neg)),
+            "aupr": float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])}
+
+
+def test_evaluate_bit_equal_to_the_per_metric_formulas():
+    rng = np.random.default_rng(5)
+    cases = list(tie_heavy_instances(300, seed=13))
+    cases += [(np.array([0, 1, 0, 1, 0]), np.full(5, 0.5)),             # all tied
+              (np.array([0, 0, 0, 1, 0, 0]), rng.uniform(size=6)),       # one positive
+              (np.array([1, 0, 0, 0]), np.array([0.5, 0.5, 0.2, 0.5])),  # one positive, tied
+              (rng.integers(0, 2, 200) | np.eye(1, 200, 3, dtype=np.int64)[0],
+               rng.uniform(size=200))]
+    for labels, scores in cases:
+        got = evaluate(ScoredSamples(np.arange(len(labels)), labels, scores, []))
+        want = evaluate_reference(labels, scores)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+        assert got["auroc"] == auroc(labels, scores) and got["aupr"] == aupr(labels, scores)
+
+
 class TestDetectionAccuracy:
     def test_hand_counted_ten_samples(self):
         labels = np.array([1, 1, 1, 0, 0, 0, 1, 0, 1, 0])
@@ -298,6 +338,17 @@ class TestAssemble:
             expected = np.concatenate([normal.sample_ids[pn], anom.sample_ids[pa]])
             assert part.sample_ids.tolist() == expected.tolist()
             assert part.tags == [normal.tags[i] for i in pn] + [anom.tags[i] for i in pa]
+
+    @pytest.mark.parametrize("n_normal,n_anomalous,seed", [(3, 3, 0), (100, 100, 7), (37, 600, 2),
+                                                           (990, 5, 11)])
+    def test_test_part_from_sizes_matches_the_assembled_one(self, n_normal, n_anomalous, seed):
+        normal = gradfeat.unlabeled_features(np.zeros((n_normal, 0)), "clean-test")
+        anom = gradfeat.unlabeled_features(np.zeros((n_anomalous, 0)), "adv-cw")
+        want = assemble_detection_sets(normal, anom, seed)[2]
+        got = detection_test_part([("clean-test", n_normal), ("adv-cw", n_anomalous)], seed)
+        assert got.sample_ids.tobytes() == want.sample_ids.tobytes()
+        assert got.anomaly_labels.tobytes() == want.anomaly_labels.tobytes()
+        assert got.tags == want.tags and got.values.shape == want.values.shape
 
     def test_sizes_100_100(self):
         normal = make_features(np.random.default_rng(0).uniform(size=(100, 3)), -1, "clean")
