@@ -5,6 +5,12 @@ normalization inside the forward pass, so pixel gradients include the
 normalization Jacobian. Norm-bounded attacks track the accumulated
 perturbation directly, which keeps the L-infinity budget exact; fgsm is
 bim with one step of size epsilon, so the two agree bit for bit.
+
+Every gradient attack runs its set in ``FORWARD_BLOCK``-row blocks through
+:func:`~gradgate.nn.map_blocks`, all iterations of one block before the
+next, so its working set is one block whatever the set's size, and a row's
+adversarial image does not depend on the rows attacked with it. Success
+flags and perturbation norms are computed once, on the assembled set.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .autodiff import (
     tanh,
     tsum,
 )
+from .nn import FORWARD_BLOCK, map_blocks
 
 ATTACK_KINDS = ("fgsm", "bim", "pgd", "iterll", "cw", "semantic")
 
@@ -112,11 +119,14 @@ def _iterate_signed(model, x, labels, epsilon, alpha, iterations, delta0, descen
     """Shared loop for bim/pgd/iterll: signed steps on the accumulated
     perturbation, boxed to [-epsilon, epsilon], iterates clipped to [0, 1]."""
     step = -alpha if descend else alpha
-    delta = delta0
-    for _ in range(iterations):
-        g = _input_grad(model, np.clip(x + delta, 0.0, 1.0), labels)
-        delta = np.clip(delta + step * np.sign(g), -epsilon, epsilon)
-    return np.clip(x + delta, 0.0, 1.0)
+
+    def attack_block(xb, lb, delta):
+        for _ in range(iterations):
+            g = _input_grad(model, np.clip(xb + delta, 0.0, 1.0), lb)
+            delta = np.clip(delta + step * np.sign(g), -epsilon, epsilon)
+        return np.clip(xb + delta, 0.0, 1.0)
+
+    return map_blocks(attack_block, FORWARD_BLOCK, x, np.asarray(labels), delta0)
 
 
 def bim(model, x, y, epsilon, alpha, iterations) -> AttackResult:
@@ -157,12 +167,20 @@ def cw_l2(model, x, y, c=1.0, iterations=200, lr=0.1) -> AttackResult:
     """L2-minimal misclassification attack optimized in tanh space.
 
     Plain gradient descent on ||x' - x||^2 + c * max(Z_y - max_{j!=y} Z_j, -kappa)
-    with kappa = 0 and fixed c; keeps the lowest-L2 successful iterate per
-    sample and flags samples where no iterate misclassified.
+    with kappa = 0 and fixed c; keeps the lowest-L2 misclassified iterate per
+    sample, or the last iterate where none misclassified.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     y = np.asarray(y)
+    adv = map_blocks(lambda xb, yb: _cw_block(model, xb, yb, c, iterations, lr),
+                     FORWARD_BLOCK, x, y)
+    # a row succeeds when some iterate was misclassified, and then its image is
+    # one; blocks are batch-invariant, so the image predicts as it did in the loop
+    return _finish("cw", model, x, y, adv)
+
+
+def _cw_block(model, x, y, c, iterations, lr) -> np.ndarray:
     n, num_classes = len(x), model.num_classes
     interior = np.clip(x, 1e-6, 1.0 - 1e-6)
     w = np.arctanh(2.0 * interior - 1.0)
@@ -201,12 +219,8 @@ def cw_l2(model, x, y, c=1.0, iterations=200, lr=0.1) -> AttackResult:
         w = w - lr * backward(loss)[wt]
 
     final = np.tanh(w) * 0.5 + 0.5
-    logits_final = model.logits(final)
-    record(final, logits_final)
-
-    adv_out = np.where(success[:, None, None, None], best_adv, final)
-    linf, l2 = _norms(x, adv_out)
-    return AttackResult("cw", adv_out, success, linf, l2)
+    record(final, model.logits(final))
+    return np.where(success[:, None, None, None], best_adv, final)
 
 
 def semantic(model, x: np.ndarray, y: np.ndarray) -> AttackResult:

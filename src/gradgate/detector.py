@@ -232,7 +232,7 @@ class DetectorMLP:
         if values.shape[1] != self.input_dim:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
         logits = map_blocks(lambda block: self.logit(block, self.params).data[:, 0],
-                            self.standardize(values), SCORE_BLOCK)
+                            SCORE_BLOCK, self.standardize(values))
         return stable_sigmoid(logits)
 
 

@@ -156,7 +156,7 @@ def extract_gradient_features(model, images: np.ndarray, label: ConfoundingLabel
     - dense weight: ||a_i||^2 * ||g_i||^2
     - dense bias: ||g_i||^2
     """
-    values = map_blocks(lambda chunk: _chunk_features(model, chunk, label), images, CHUNK_SIZE)
+    values = map_blocks(lambda chunk: _chunk_features(model, chunk, label), CHUNK_SIZE, images)
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if len(bad):
         raise FeatureError(f"non-finite gradient feature for sample {bad[0]} ({source_tag})")
@@ -187,14 +187,19 @@ def _per_sample_sq_norms(tap, g: np.ndarray):
 
 
 def extract_activation_features(model, images: np.ndarray, source_tag: str = "") -> FeatureSet:
-    """Per-layer L2 norms of the post-nonlinearity outputs (forward only)."""
+    """Per-layer L2 norms of the post-nonlinearity outputs (forward only),
+    before pooling: ``np.maximum(pre, 0.0)``, the op of ``autodiff.relu``,
+    applied to each relu layer's full-resolution pre-activation."""
+    relu_layers = [layer.activation == "relu" for layer in model.arch.layers]
+
     def layer_norms(block):
         # C order, so the norms do not depend on how the conv outputs are stored
-        flat = [np.ascontiguousarray(a.data).reshape(len(a.data), math.prod(a.data.shape[1:]))
-                for a in model.forward(block)[1]]
+        flat = [np.ascontiguousarray(np.maximum(pre.data, 0.0) if relu else pre.data)
+                .reshape(len(pre.data), math.prod(pre.data.shape[1:]))
+                for pre, relu in zip(model.forward(block)[1], relu_layers)]
         return np.stack([np.sqrt((f ** 2).sum(axis=1)) for f in flat], axis=1)
 
-    return unlabeled_features(map_blocks(layer_norms, images, FORWARD_BLOCK), source_tag)
+    return unlabeled_features(map_blocks(layer_norms, FORWARD_BLOCK, images), source_tag)
 
 
 FEATURE_MODES = ("gradient", "activation")

@@ -30,8 +30,9 @@ from .autodiff import (
 CHECKPOINT_MAGIC = b"GGATE"
 
 # Rows per forward pass of Classifier.logits (and so of predict, accuracy and
-# msp_scores) and of activation features. 990 rows (small CNN, OpenBLAS on one
-# thread, 2-CPU x86-64 box) took about 30 ms in 64-row blocks, 80 in 256-row.
+# msp_scores) and of activation features, and per block of every attack. The
+# logits of 990 rows (small CNN, OpenBLAS on one thread, 2-CPU x86-64 box)
+# took about 30 ms in 64-row blocks, 80 in 256-row.
 FORWARD_BLOCK = 64
 
 _ACTIVATIONS = ("relu", "none")
@@ -233,10 +234,14 @@ class Classifier:
         self.norm_std = np.maximum(std, 1e-8)
 
     def forward(self, x, taps: list | None = None):
-        """Map raw pixels in [0,1] to (logits, post-activation layer outputs).
+        """Map raw pixels in [0,1] to (logits, per-layer pre-activations).
 
         Normalization happens inside the graph, so gradients with respect to
-        the raw pixels include the normalization Jacobian.
+        the raw pixels include the normalization Jacobian. Each layer runs
+        its conv or dense op, then its pool, then its activation: max
+        commutes with relu, so pooling first gives the same values while
+        relu and its mask run on the pooled map. The second item holds
+        each layer's output before pool and activation, at full resolution.
 
         When ``taps`` is a list, one :class:`LayerTap` per layer is appended
         to it and every pre-activation node requires a gradient. A backward
@@ -252,7 +257,7 @@ class Classifier:
         inv_std = np.broadcast_to((1.0 / self.norm_std)[:, None, None], (c, h, w))
         t = (t - Tensor(mean.copy())) * Tensor(inv_std.copy())
 
-        activations = []
+        pres = []
         it = iter(self.params)
         for layer in self.arch.layers:
             weight, bias = next(it).tensor, next(it).tensor
@@ -268,12 +273,11 @@ class Classifier:
                 if not pre.requires_grad:  # nothing upstream needs a gradient
                     pre = Tensor(pre.data, requires_grad=True)
                 taps.append(LayerTap(columns[0] if columns else t.data, pre))
-            act = relu(pre) if layer.activation == "relu" else pre
-            activations.append(act)
-            t = act
-            if isinstance(layer, ConvLayer) and layer.pool:
-                t = maxpool2d(t, layer.pool)
-        return t, activations
+            pres.append(pre)
+            t = maxpool2d(pre, layer.pool) if isinstance(layer, ConvLayer) and layer.pool else pre
+            if layer.activation == "relu":
+                t = relu(t)
+        return t, pres
 
     def trainable(self) -> "Classifier":
         """This classifier with each parameter a requires-grad Tensor over the
@@ -286,7 +290,7 @@ class Classifier:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Logits, ``FORWARD_BLOCK`` rows per forward pass (see :func:`map_blocks`)."""
-        return map_blocks(lambda block: self.forward(block)[0].data, x, FORWARD_BLOCK)
+        return map_blocks(lambda block: self.forward(block)[0].data, FORWARD_BLOCK, x)
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)
@@ -316,18 +320,25 @@ def build_classifier(arch: ArchSpec, seed: int) -> Classifier:
     return Classifier(arch, params, seed=seed)
 
 
-def map_blocks(fn, x: np.ndarray, block: int) -> np.ndarray:
-    """``fn`` applied to consecutive ``block``-row slices of ``x``, its results
+def map_blocks(fn, block: int, *arrays) -> np.ndarray:
+    """``fn`` applied to consecutive ``block``-row slices of the row-aligned
+    ``arrays`` (one slice of each, as ``fn``'s arguments), its results
     stacked along the first axis; ``fn`` must treat rows independently. A
-    shorter slice (a tail, or the one call an empty ``x`` makes) is zero-padded
+    shorter slice (a tail, or the one call an empty set makes) is zero-padded
     to ``block`` rows and the padded rows' results dropped. BLAS picks its
     kernel, and so a row's rounding, by matrix shape, so a row's result then
     depends only on the row and ``block``, not on the rows it came with."""
+    n = len(arrays[0])
+    if any(len(a) != n for a in arrays):
+        raise ValueError(f"map_blocks: row counts {[len(a) for a in arrays]} differ")
     results = []
-    for start in range(0, max(len(x), 1), block):
-        rows = x[start:start + block]
-        pad = np.zeros((block - len(rows),) + x.shape[1:], x.dtype)
-        results.append(fn(np.concatenate([rows, pad]) if len(pad) else rows)[:len(rows)])
+    for start in range(0, max(n, 1), block):
+        rows = [a[start:start + block] for a in arrays]
+        k = len(rows[0])
+        if k < block:
+            rows = [np.concatenate([r, np.zeros((block - k,) + r.shape[1:], r.dtype)])
+                    for r in rows]
+        results.append(fn(*rows)[:k])
     return np.concatenate(results)
 
 
@@ -359,6 +370,7 @@ def sgd_epochs(params: list, batch_loss, n: int, batch_size: int, seed, epochs: 
                 raise TrainingError(f"non-finite loss {value} at epoch {epoch} batch {b}")
             losses.append(value)
             sgd_step(params, backward(loss), velocity, lr, momentum, weight_decay)
+        loss = None  # the last batch's graph, freed before the caller's epoch-end passes
         yield losses
 
 

@@ -14,7 +14,7 @@ from gradgate.attacks import (
 )
 from gradgate.autodiff import Tensor
 from gradgate.data import gen_glyphs
-from gradgate.nn import build_classifier, mlp, small_cnn
+from gradgate.nn import FORWARD_BLOCK, build_classifier, mlp, small_cnn
 
 
 class ScalarLogistic:
@@ -257,3 +257,34 @@ class TestConstantParameters:
         live = run_attack(tiny_model.trainable(), x, y, cfg)
         for field in ("images", "success", "linf", "l2"):
             assert getattr(live, field).tobytes() == getattr(const, field).tobytes(), field
+
+
+class TestBatchInvariance:
+    """Attacks run in ``FORWARD_BLOCK``-row blocks through ``nn.map_blocks``,
+    so a row's adversarial image does not depend on the rows attacked with
+    it: alone, in a set whose last block has one row, or in a set whose last
+    block has ``FORWARD_BLOCK - 1`` rows."""
+
+    CFG = dict(epsilon=0.1, alpha=0.02, iterations=4, cw_iterations=20, seed=4)
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        ds = gen_glyphs(2 * FORWARD_BLOCK - 1, seed=31)
+        return ds.images, ds.labels
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_row_bytes_do_not_depend_on_the_set(self, tiny_model, images, kind):
+        x, y = images
+        cfg = AttackConfig(kind=kind, **self.CFG)
+        whole = run_attack(tiny_model, x, y, cfg)  # last block FORWARD_BLOCK - 1 rows
+        tail1 = run_attack(tiny_model, x[:FORWARD_BLOCK + 1], y[:FORWARD_BLOCK + 1], cfg)
+        for i in (0, 1, FORWARD_BLOCK - 1, FORWARD_BLOCK):
+            assert tail1.images[i].tobytes() == whole.images[i].tobytes(), i
+            assert tail1.success[i] == whole.success[i], i
+        # pgd seeds each row's start with its index in the set, so a row
+        # attacked alone has the start of row 0
+        alone_rows = (0,) if kind == "pgd" else (0, FORWARD_BLOCK, len(x) - 1)
+        for i in alone_rows:
+            alone = run_attack(tiny_model, x[i:i + 1], y[i:i + 1], cfg)
+            assert alone.images[0].tobytes() == whole.images[i].tobytes(), i
+            assert alone.success[0] == whole.success[i], i

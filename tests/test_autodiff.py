@@ -555,8 +555,7 @@ class TestReluBytes:
 
 class TestMaxpoolMasks:
     """The running-maximum maxpool2d against the window-loop oracle, bit for
-    bit, on the inputs the pipeline gives it: relu outputs, where most
-    windows tie at zero."""
+    bit, on relu outputs, where most windows tie at zero."""
 
     @pytest.mark.parametrize("size", [2, 3])
     @pytest.mark.parametrize("extra", [(0, 0), (1, 2)])
@@ -589,6 +588,39 @@ class TestMaxpoolMasks:
         out = maxpool2d(Tensor(arr), 2)
         assert not out.requires_grad
         assert out.data.tobytes() == maxpool_reference(arr, 2, np.zeros(out.data.shape))[0].tobytes()
+
+
+class TestPoolThenRelu:
+    """A conv layer pools its pre-activation before relu. Max commutes with
+    relu, so the output bytes are those of relu then pool, and the gradients
+    equal them up to the sign of a zero: relu then pool routes a dead
+    window's gradient to its first element and zeroes it there, pool then
+    relu zeroes it before routing."""
+
+    @staticmethod
+    def graphs(order):
+        # a parameter of +-1 per channel scales x exactly, -0.0 included
+        # (a conv's GEMM would turn -0.0 into +0.0)
+        rng = np.random.default_rng(70)
+        arr = rng.choice(np.array([-0.0, 0.0, -1.5, -0.5, 0.5, 2.0]), size=(3, 2, 6, 6))
+        arr[0, 0, :2, :2] = -0.0  # all -0.0
+        arr[0, 0, :2, 2:4] = [[-1.0, -2.0], [-3.0, -1.0]]  # all negative, tied
+        arr[0, 0, :2, 4:] = [[2.0, 2.0], [2.0, -1.0]]  # positive ties
+        x = Tensor(arr, requires_grad=True)
+        w = Tensor(np.stack([np.ones((6, 6)), -np.ones((6, 6))]), requires_grad=True)
+        pre = x * w
+        out = relu(maxpool2d(pre, 2)) if order == "pool-relu" else maxpool2d(relu(pre), 2)
+        g = rng.standard_normal(out.data.shape)
+        return pre, out, backward(tsum(out * Tensor(g))), (x, w)
+
+    def test_same_bytes_forward_and_equal_gradients(self):
+        pre, out, grads, leaves = self.graphs("pool-relu")
+        _, out_ref, grads_ref, leaves_ref = self.graphs("relu-pool")
+        zero = pre.data == 0.0
+        assert (zero & np.signbit(pre.data)).any() and (zero & ~np.signbit(pre.data)).any()
+        assert out.data.tobytes() == out_ref.data.tobytes()
+        for leaf, leaf_ref in zip(leaves, leaves_ref):
+            assert np.array_equal(grads[leaf], grads_ref[leaf_ref])
 
 
 CONV_SHAPES = {  # cin, cout, input side, stride, padding; 3x3 kernels

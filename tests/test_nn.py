@@ -1,11 +1,22 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from gradgate import storage
-from gradgate.autodiff import ShapeError, Tensor, backward, softmax_cross_entropy
+from gradgate.autodiff import (
+    ShapeError,
+    Tensor,
+    backward,
+    conv2d,
+    matmul,
+    maxpool2d,
+    relu,
+    reshape,
+    softmax_cross_entropy,
+)
 from gradgate.data import Dataset
 from gradgate.detector import msp_scores, train_detector
 from gradgate.gradfeat import (
@@ -28,8 +39,32 @@ from gradgate.nn import (
     mlp,
     save_checkpoint,
     small_cnn,
+    sgd_epochs,
     train_classifier,
 )
+
+
+def relu_then_pool_logits(model, x):
+    """The forward pass with each conv layer's relu before its pool, as the
+    classifier ran it before it pooled first."""
+    c, h, w = model.arch.input_shape
+    mean = np.broadcast_to(model.norm_mean[:, None, None], (c, h, w)).copy()
+    inv_std = np.broadcast_to((1.0 / model.norm_std)[:, None, None], (c, h, w)).copy()
+    t = (x - Tensor(mean)) * Tensor(inv_std)
+    it = iter(model.params)
+    for layer in model.arch.layers:
+        weight, bias = next(it).tensor, next(it).tensor
+        if isinstance(layer, ConvLayer):
+            t = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding)
+        else:
+            if t.data.ndim == 4:
+                t = reshape(t, (len(t.data), math.prod(t.data.shape[1:])))
+            t = matmul(t, weight) + bias
+        if layer.activation == "relu":
+            t = relu(t)
+        if isinstance(layer, ConvLayer) and layer.pool:
+            t = maxpool2d(t, layer.pool)
+    return t
 
 
 def separable_blobs(n_per_class=40, seed=0):
@@ -152,6 +187,29 @@ class TestForward:
         assert model.logits(images).tobytes() == want.tobytes()
         assert np.array_equal(model.predict(images), np.argmax(want, axis=1))
 
+    def test_pool_then_relu_matches_relu_then_pool(self):
+        model = build_classifier(small_cnn(), seed=6)
+        images = np.random.default_rng(7).uniform(size=(9, 1, 16, 16))
+        model.set_normalization(images)
+        live, labels = model.trainable(), np.arange(9) % 10
+        x, x_ref = Tensor(images, requires_grad=True), Tensor(images, requires_grad=True)
+        logits, _ = live.forward(x)
+        logits_ref = relu_then_pool_logits(live, x_ref)
+        assert logits.data.tobytes() == logits_ref.data.tobytes()
+        grads = backward(softmax_cross_entropy(logits, labels))
+        grads_ref = backward(softmax_cross_entropy(logits_ref, labels))
+        for node in [x] + [ps.tensor for ps in live.params]:
+            ref = x_ref if node is x else node
+            assert np.array_equal(grads[node], grads_ref[ref])
+
+    def test_returns_each_layers_output_before_pool_and_activation(self):
+        model = build_classifier(small_cnn(), seed=8)
+        images = np.random.default_rng(9).uniform(size=(3, 1, 16, 16))
+        logits, pres = model.forward(images)
+        assert [p.data.shape for p in pres] == [(3, 8, 16, 16), (3, 16, 8, 8), (3, 64), (3, 10)]
+        assert pres[-1] is logits  # the last layer has no activation
+        assert (pres[0].data < 0).any()
+
     @pytest.mark.parametrize("name", list(ZERO_ROW_PASSES))
     def test_zero_rows_give_zero_rows_of_full_width(self, name):
         run, shape = ZERO_ROW_PASSES[name]
@@ -200,6 +258,25 @@ class TestTraining:
                 logits = Tensor(np.full((batch, n), 1.7))
                 loss = softmax_cross_entropy(logits, np.zeros(batch, dtype=np.int64))
                 assert float(loss.data) == math.log(n)
+
+    def test_last_batch_graph_is_freed_before_the_epoch_is_yielded(self):
+        class Loss(Tensor):  # Tensor has __slots__ without __weakref__
+            pass
+
+        x = Tensor(np.random.default_rng(3).standard_normal((6, 2)))
+        w = Tensor(np.zeros((2, 3)), requires_grad=True)
+        last = []
+
+        def batch_loss(idx):
+            loss = softmax_cross_entropy(matmul(Tensor(x.data[idx]), w), idx % 3)
+            probe = Loss(loss.data, requires_grad=True)
+            probe._parents, probe._vjp = (loss,), lambda g: (g,)
+            last.append(weakref.ref(probe))
+            return probe
+
+        for _ in sgd_epochs([w], batch_loss, 6, 4, seed=0, epochs=2, lr=0.1, momentum=0.9,
+                            weight_decay=0.0):
+            assert len(last) % 2 == 0 and last[-1]() is None
 
     @pytest.mark.parametrize("trainer", ["classifier", "detector"])
     def test_non_finite_loss_raises_training_error(self, trainer):
