@@ -104,8 +104,7 @@ def detect_and_report(run, tag: str, method: str, normal, anomalous):
     seed = child_seed(run.cfg.master_seed, f"detect:{tag}")
     train, val, test = detector.assemble_detection_sets(normal, anomalous, seed)
     if method == "msp":
-        return detector.ScoredSamples(test.sample_ids, test.anomaly_labels,
-                                      test.values[:, 0], list(test.tags))
+        return detector.ScoredSamples(test.sample_ids, test.anomaly_labels, test.values[:, 0])
     cfg = run.cfg
     det = detector.train_detector(
         train, val, hidden=cfg.hidden, seed=seed,
@@ -116,13 +115,13 @@ def detect_and_report(run, tag: str, method: str, normal, anomalous):
 
 def _load_scores(run, path: Path, tag: str, method: str) -> detector.ScoredSamples:
     """A score file must hold exactly the ids and labels of its row's test
-    part, in order, and takes its tags from that part."""
-    part = run.demand(("part", tag))
+    part, in order."""
+    part_ids, part_labels = run.demand(("part", tag))
     ids, labels, scores = detector.load_scores(path)
-    if not (np.array_equal(ids, part.sample_ids) and np.array_equal(labels, part.anomaly_labels)):
+    if not (np.array_equal(ids, part_ids) and np.array_equal(labels, part_labels)):
         raise detector.ScoreError(
-            f"{path}: {len(scores)} rows that are not the {len(part)}-row detection test part")
-    return detector.ScoredSamples(part.sample_ids, part.anomaly_labels, scores, part.tags)
+            f"{path}: {len(scores)} rows that are not the {len(part_ids)}-row detection test part")
+    return detector.ScoredSamples(part_ids, part_labels, scores)
 
 
 class Kind(NamedTuple):
@@ -172,9 +171,9 @@ ARTIFACTS = {
     "msp": Kind(inputs=lambda run, tag: [CLASSIFIER, ("set", tag)],
                 make=lambda run, tag, model, ds: gradfeat.unlabeled_features(
                     detector.msp_scores(model, ds.images)[:, None], tag)),
-    # the rows every method at a tag scores; they follow from the sets' sizes
+    # the ids and labels every method at a tag scores; they follow from the sets' sizes
     "part": Kind(inputs=lambda run, tag: [], make=lambda run, tag: detector.detection_test_part(
-        [(t, run.rows(t)) for t in ("clean-test", tag)],
+        [run.rows(t) for t in ("clean-test", tag)],
         child_seed(run.cfg.master_seed, f"detect:{tag}"))),
     "scores": Kind(
         inputs=lambda run, tag, method: [("msp", t) if method == "msp" else ("features", method, t)
@@ -306,19 +305,23 @@ def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def _config(args) -> ExperimentConfig:
+    """The config file with the command-line overrides."""
+    return ExperimentConfig.from_file(args.config,
+                                      {"out_dir": args.out, "master_seed": args.seed})
+
+
 def _run(args, *kinds: str) -> Run:
-    """The run of the config file with the command-line overrides, with
-    every node of ``kinds`` checked."""
-    cfg = ExperimentConfig.from_file(args.config,
-                                     {"out_dir": args.out, "master_seed": args.seed})
+    """The run of :func:`_config`, with every node of ``kinds`` checked."""
+    cfg = _config(args)
     run = Run(cfg, Path(cfg.out_dir))
     run.check(*kinds)
     return run
 
 
 def cmd_train_classifier(args) -> int:
-    run = _run(args)
-    model, path = ensure_classifier(run.cfg, run.out)
+    cfg = _config(args)
+    model, path = ensure_classifier(cfg, Path(cfg.out_dir))
     print(f"checkpoint: {path}")
     print(f"val_accuracy: {model.val_accuracy}")
     return 0
@@ -340,10 +343,10 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_run_experiment(args) -> int:
-    run = _run(args)
-    rows = run_experiment(run.cfg, run.out)
-    print(report_table_text(run.cfg, rows))
-    print(f"report: {run.path('report', 'kv')}")
+    cfg = _config(args)
+    rows = run_experiment(cfg, Path(cfg.out_dir))
+    print(report_table_text(cfg, rows))
+    print(f"report: {Path(cfg.out_dir) / f'report-{cfg.digest()}.kv'}")
     return 0
 
 
@@ -351,13 +354,13 @@ def cmd_compare_norms(args) -> int:
     run = _run(args, "classifier", "set")
     model, lines = run.demand(CLASSIFIER), []
     for mode in gradfeat.FEATURE_MODES:
-        merged = gradfeat.concat_features(run.demand(("features", mode, tag)) for tag in run.tags)
-        summary = gradfeat.norm_summary(merged.values, merged.tags)
+        summaries = [gradfeat.norm_summary(run.demand(("features", mode, tag)).values)
+                     for tag in run.tags]
         for j, name in enumerate(gradfeat.feature_names(model, mode)):
             lines.append(f"== {mode} / {name} ==")
             lines.append(f"{'source':<22}{'min':>12}{'q1':>12}{'median':>12}{'q3':>12}{'max':>12}")
-            for tag, stats in summary.items():
-                mn, q1, med, q3, mx = stats[j]
+            for tag, stats in zip(run.tags, summaries):
+                mn, q1, med, q3, mx = stats[:, j]
                 lines.append(f"{tag:<22}{mn:>12.4g}{q1:>12.4g}{med:>12.4g}{q3:>12.4g}{mx:>12.4g}")
             lines.append("")
     text = "\n".join(lines)

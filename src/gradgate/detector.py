@@ -9,7 +9,7 @@ straight from the classifier with no training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import storage
 from .autodiff import Tensor, bce_with_logits, matmul, relu, stable_sigmoid
 from .data import stratify
 from .gradfeat import FeatureSet, concat_features
-from .nn import map_blocks, sgd_epochs
+from .nn import FORWARD_BLOCK, map_blocks, sgd_epochs
 
 
 class ScoreError(RuntimeError):
@@ -32,7 +32,6 @@ class ScoredSamples:
     sample_ids: np.ndarray
     labels: np.ndarray   # {0, 1}, 1 = anomalous
     scores: np.ndarray
-    tags: list
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -155,7 +154,8 @@ def assemble_detection_sets(normal: FeatureSet, anomalous: FeatureSet, seed: int
     would leave one of its parts empty."""
     if normal.dim != anomalous.dim:
         raise ValueError(f"feature dims differ: {normal.dim} vs {anomalous.dim}")
-    sides = [[fs.with_anomaly_label(label).subset(rows)
+    sides = [[replace(fs.subset(rows),
+                      anomaly_labels=np.full(len(rows), label, dtype=np.int64))
               for rows in _side_rows(_tag_groups(fs), len(fs), side, label, seed)]
              for label, side, fs in ((0, "normal", normal), (1, "anomalous", anomalous))]
     return tuple(concat_features(pair) for pair in zip(*sides))
@@ -174,25 +174,18 @@ def _side_rows(groups, n: int, side: str, label: int, seed: int) -> list:
     return parts
 
 
-def detection_test_part(sides, seed: int) -> FeatureSet:
-    """The test part :func:`assemble_detection_sets` cuts from a normal and
-    an anomalous set of one source each, from their sizes alone: ``sides``
-    is ((tag, rows), (tag, rows)), normal first. It has no columns."""
+def detection_test_part(sizes, seed: int) -> tuple:
+    """The (sample_ids, anomaly_labels) of the test part
+    :func:`assemble_detection_sets` cuts from a normal and an anomalous set
+    of one source each, from their ``sizes`` alone, normal first."""
     rows = [_side_rows([np.arange(n)], n, side, label, seed)[2]
-            for label, side, (_, n) in zip((0, 1), ("normal", "anomalous"), sides)]
-    return FeatureSet(np.zeros((sum(map(len, rows)), 0)), np.concatenate(rows),
-                      np.repeat([0, 1], [len(r) for r in rows]),
-                      [tag for (tag, _), r in zip(sides, rows) for _ in r])
+            for label, side, n in zip((0, 1), ("normal", "anomalous"), sizes)]
+    return np.concatenate(rows), np.repeat([0, 1], [len(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------
 # detector MLP
 # ---------------------------------------------------------------------------
-
-# Rows per scoring pass, so a default run's 792-row validation set takes four
-# passes per training epoch and the benchmark config's 80-row one takes one.
-SCORE_BLOCK = 256
-
 
 class DetectorMLP:
     """Two-layer sigmoid-output MLP; standardizes its inputs with the mean
@@ -225,14 +218,14 @@ class DetectorMLP:
         """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
         the endpoints only when a logit exceeds float64 resolution.
 
-        :meth:`logit` runs in ``SCORE_BLOCK``-row blocks through
+        :meth:`logit` runs in ``FORWARD_BLOCK``-row blocks through
         :func:`~gradgate.nn.map_blocks`, so a row's score does not depend on
         the rows scored with it.
         """
         if values.shape[1] != self.input_dim:
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
         logits = map_blocks(lambda block: self.logit(block, self.params).data[:, 0],
-                            SCORE_BLOCK, self.standardize(values))
+                            FORWARD_BLOCK, self.standardize(values))
         return stable_sigmoid(logits)
 
 
@@ -275,8 +268,7 @@ def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: i
 
 
 def score(det: DetectorMLP, fs: FeatureSet) -> ScoredSamples:
-    return ScoredSamples(fs.sample_ids.copy(), fs.anomaly_labels.copy(),
-                         det.score(fs.values), list(fs.tags))
+    return ScoredSamples(fs.sample_ids.copy(), fs.anomaly_labels.copy(), det.score(fs.values))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +280,7 @@ SCORE_RECORDS = ("sample_ids", "labels", "scores")
 
 
 def save_scores(scored: ScoredSamples, path) -> None:
-    """Write ids, labels and scores as float64 records; tags are not stored."""
+    """Write ids, labels and scores as float64 records."""
     arrays = (scored.sample_ids, scored.labels, scored.scores)
     storage.write_container(path, SCORE_MAGIC, {},
                             [(name, np.asarray(a, dtype=np.float64))

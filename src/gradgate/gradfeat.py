@@ -4,9 +4,9 @@ A confounding label is a target vector the classifier never saw in
 training (the default is all ones over the classes). Scoring a sample
 means computing binary cross-entropy between the sample's logits and the
 confounding label, backpropagating, and recording the squared L2 norm of
-the gradient for every parameter set in ordinal order. Inputs the model
-represents poorly need larger parameter updates, so their gradient norms
-sit in visibly different ranges than training-like inputs.
+the gradient for every parameter set, in the classifier's order. Inputs
+the model represents poorly need larger parameter updates, so their
+gradient norms sit in visibly different ranges than training-like inputs.
 
 The per-sample gradient norms of a whole chunk of samples come from one
 batched backward pass: samples do not interact in the forward pass, so
@@ -113,11 +113,6 @@ class FeatureSet:
         return FeatureSet(self.values[idx], self.sample_ids[idx], self.anomaly_labels[idx],
                           [self.tags[i] for i in idx])
 
-    def with_anomaly_label(self, label: int) -> "FeatureSet":
-        return FeatureSet(self.values, self.sample_ids,
-                          np.full(len(self), label, dtype=np.int64),
-                          list(self.tags))
-
 
 def unlabeled_features(values: np.ndarray, source_tag: str) -> FeatureSet:
     """Rows 0..n-1 of one source, before a detection split labels them."""
@@ -223,24 +218,13 @@ def extract_features(model, images: np.ndarray, mode: str, label: ConfoundingLab
     raise ValueError(f"unknown feature mode {mode!r}")
 
 
-def norm_summary(values: np.ndarray, tags) -> dict:
-    """Exact order statistics (min, quartiles, max) per feature per tag."""
+def norm_summary(values: np.ndarray) -> np.ndarray:
+    """Exact order statistics of each column of one set's (n, P) values:
+    the (5, P) rows min, q1, median, q3 and max."""
     values = np.asarray(values, dtype=np.float64)
-    tags = list(tags)
-    if len(values) == 0 or len(tags) != len(values):
-        raise ValueError("norm_summary needs one tag per nonempty row")
-    summary: dict = {}
-    for tag in dict.fromkeys(tags):  # first-seen order
-        rows = values[[i for i, t in enumerate(tags) if t == tag]]
-        if len(rows) == 0:
-            raise ValueError(f"empty group {tag!r}")
-        stats = []
-        for j in range(values.shape[1]):
-            col = rows[:, j]
-            q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75])
-            stats.append((float(col.min()), float(q1), float(med), float(q3), float(col.max())))
-        summary[tag] = stats
-    return summary
+    if len(values) == 0:
+        raise ValueError("norm_summary of an empty set")
+    return np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
 
 
 FEATURE_MAGIC = b"GFEAT"

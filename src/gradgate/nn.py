@@ -1,8 +1,8 @@
 """Small image classifiers built on the autodiff engine.
 
 Architectures are declarative layer lists that compile to parameter sets
-with a fixed ordinal order; the order is part of the checkpoint contract
-because downstream gradient features are indexed by it.
+in a fixed order; the order is part of the checkpoint contract because
+downstream gradient features are indexed by it.
 """
 
 from __future__ import annotations
@@ -175,11 +175,10 @@ def mlp(num_classes: int = 10, input_shape=(1, 16, 16), hidden: int = 64) -> Arc
 
 @dataclass
 class ParamSet:
-    """One parameter tensor (a layer's weight or bias) with a stable ordinal."""
+    """One parameter tensor (a layer's weight or bias)."""
 
     name: str
     tensor: Tensor
-    ordinal: int
 
 
 @dataclass
@@ -283,7 +282,7 @@ class Classifier:
         """This classifier with each parameter a requires-grad Tensor over the
         same ndarray (no copy): graphs built through it carry parameter
         gradients, and an in-place step on them updates this classifier."""
-        params = [ParamSet(ps.name, Tensor(ps.tensor.data, requires_grad=True), ps.ordinal)
+        params = [ParamSet(ps.name, Tensor(ps.tensor.data, requires_grad=True))
                   for ps in self.params]
         return Classifier(self.arch, params, self.norm_mean, self.norm_std,
                           self.seed, self.val_accuracy)
@@ -298,7 +297,7 @@ class Classifier:
 
 def build_classifier(arch: ArchSpec, seed: int) -> Classifier:
     """Initialize parameters with fan-in-scaled uniform draws from one
-    seeded generator, in ordinal order."""
+    seeded generator, in parameter order."""
     shapes = arch.validate()
     rng = np.random.default_rng(seed)
     params = []
@@ -315,7 +314,7 @@ def build_classifier(arch: ArchSpec, seed: int) -> Classifier:
         bound = 1.0 / np.sqrt(fan_in)
         for suffix, shape in (("weight", w_shape), ("bias", b_shape)):
             data = rng.uniform(-bound, bound, size=shape)
-            params.append(ParamSet(f"layer{i}.{suffix}", Tensor(data), len(params)))
+            params.append(ParamSet(f"layer{i}.{suffix}", Tensor(data)))
         in_shape = shapes[i]
     return Classifier(arch, params, seed=seed)
 

@@ -180,6 +180,17 @@ class TestTrainCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             f"classifier-{cfg.digest()}.ggate", f"history-{cfg.digest()}.txt"]
 
+    def test_one_run_per_command(self, tiny_config, monkeypatch):
+        path, out = tiny_config
+        sweeps = []
+        sweep = storage.remove_stale_temporaries
+        monkeypatch.setattr(storage, "remove_stale_temporaries",
+                            lambda directory: (sweeps.append(directory), sweep(directory))[1])
+        for command in ("train-classifier", "run-experiment"):
+            sweeps.clear()
+            assert cli.main([command, "--config", str(path)]) == 0
+            assert sweeps == [out], command
+
     def test_missing_idx_paths_fail(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[dataset]\ndataset_kind = idx\n")
@@ -436,8 +447,7 @@ class TestRunExperiment:
         victim = out / f"scores-ood-uniform-noise-msp-{cfg.digest()}.gscore"
         ids, labels, scores = detector.load_scores(victim)
         keep = np.arange(len(scores)) != 5
-        detector.save_scores(detector.ScoredSamples(ids[keep], labels[keep], scores[keep], []),
-                             victim)
+        detector.save_scores(detector.ScoredSamples(ids[keep], labels[keep], scores[keep]), victim)
         with pytest.raises(detector.ScoreError,
                            match=f"{victim.name}: {len(scores) - 1} rows that are not the "
                                  f"{len(scores)}-row detection test part"):
@@ -449,7 +459,7 @@ class TestRunExperiment:
         cli.run_experiment(cfg, out)
         victim = out / f"scores-adv-fgsm-gradient-{cfg.digest()}.gscore"
         ids, labels, scores = detector.load_scores(victim)
-        detector.save_scores(detector.ScoredSamples(ids, 1 - labels, scores, []), victim)
+        detector.save_scores(detector.ScoredSamples(ids, 1 - labels, scores), victim)
         with pytest.raises(detector.ScoreError, match=f"{victim.name}: {len(scores)} rows that "
                                                       f"are not the {len(scores)}-row"):
             cli.run_experiment(cfg, out)

@@ -5,7 +5,6 @@ from gradgate import gradfeat, storage
 from gradgate.data import allocate_counts
 from gradgate.detector import (
     DETECTION_FRACTIONS,
-    SCORE_BLOCK,
     SCORE_MAGIC,
     assemble_detection_sets,
     detection_test_part,
@@ -23,7 +22,7 @@ from gradgate.detector import (
 )
 from gradgate.autodiff import Tensor, stable_sigmoid
 from gradgate.gradfeat import FeatureSet
-from gradgate.nn import build_classifier, mlp
+from gradgate.nn import FORWARD_BLOCK, build_classifier, mlp
 
 
 def auroc_pairwise_oracle(labels, scores):
@@ -243,7 +242,7 @@ def test_evaluate_bit_equal_to_the_per_metric_formulas():
               (rng.integers(0, 2, 200) | np.eye(1, 200, 3, dtype=np.int64)[0],
                rng.uniform(size=200))]
     for labels, scores in cases:
-        got = evaluate(ScoredSamples(np.arange(len(labels)), labels, scores, []))
+        got = evaluate(ScoredSamples(np.arange(len(labels)), labels, scores))
         want = evaluate_reference(labels, scores)
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
         assert got["auroc"] == auroc(labels, scores) and got["aupr"] == aupr(labels, scores)
@@ -345,10 +344,9 @@ class TestAssemble:
         normal = gradfeat.unlabeled_features(np.zeros((n_normal, 0)), "clean-test")
         anom = gradfeat.unlabeled_features(np.zeros((n_anomalous, 0)), "adv-cw")
         want = assemble_detection_sets(normal, anom, seed)[2]
-        got = detection_test_part([("clean-test", n_normal), ("adv-cw", n_anomalous)], seed)
-        assert got.sample_ids.tobytes() == want.sample_ids.tobytes()
-        assert got.anomaly_labels.tobytes() == want.anomaly_labels.tobytes()
-        assert got.tags == want.tags and got.values.shape == want.values.shape
+        ids, labels = detection_test_part([n_normal, n_anomalous], seed)
+        assert ids.tobytes() == want.sample_ids.tobytes()
+        assert labels.tobytes() == want.anomaly_labels.tobytes()
 
     def test_sizes_100_100(self):
         normal = make_features(np.random.default_rng(0).uniform(size=(100, 3)), -1, "clean")
@@ -458,11 +456,16 @@ class TestDetectorTraining:
         const = det.logit(std, det.params)
         assert not const.requires_grad
         assert const.data.tobytes() == det.logit(std, live).data.tobytes()
-        # score runs the training graph on a zero-padded SCORE_BLOCK block
-        assert len(std) < SCORE_BLOCK
-        padded = np.zeros((SCORE_BLOCK, std.shape[1]))
-        padded[:len(std)] = std
-        want = stable_sigmoid(det.logit(padded, live).data[:len(std), 0])
+        # score runs the training graph on FORWARD_BLOCK-row blocks, the last
+        # one zero-padded
+        assert len(std) > FORWARD_BLOCK and len(std) % FORWARD_BLOCK
+        logits = []
+        for start in range(0, len(std), FORWARD_BLOCK):
+            rows = std[start:start + FORWARD_BLOCK]
+            block = np.zeros((FORWARD_BLOCK, std.shape[1]))
+            block[:len(rows)] = rows
+            logits.append(det.logit(block, live).data[:len(rows), 0])
+        want = stable_sigmoid(np.concatenate(logits))
         assert det.score(val.values).tobytes() == want.tobytes()
 
     def test_dim_mismatch_rejected(self):
@@ -476,7 +479,7 @@ class TestDetectorTraining:
 class TestScoreFile:
     def test_round_trip(self, tmp_path):
         scored = ScoredSamples(np.array([3, 1, 4]), np.array([0, 1, 1]),
-                               np.array([0.25, 0.5, 0.125]), ["a", "b", "b"])
+                               np.array([0.25, 0.5, 0.125]))
         path = tmp_path / "scores.gscore"
         save_scores(scored, path)
         ids, labels, scores = load_scores(path)
@@ -486,19 +489,17 @@ class TestScoreFile:
 
     def test_save_load_save_byte_equal(self, tmp_path):
         rng = np.random.default_rng(0)
-        tags = ["a", "a", "b", "b"]
         scored = ScoredSamples(np.array([7, 0, 2, 5]), np.array([0, 0, 1, 1]),
-                               np.append(rng.uniform(size=3), 1e-300), tags)
+                               np.append(rng.uniform(size=3), 1e-300))
         first, second = tmp_path / "first.gscore", tmp_path / "second.gscore"
         save_scores(scored, first)
-        save_scores(ScoredSamples(*load_scores(first), tags), second)
+        save_scores(ScoredSamples(*load_scores(first)), second)
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected_with_file_and_row(self, tmp_path, bad):
         path = tmp_path / "scores.gscore"
-        save_scores(ScoredSamples(np.array([0, 1]), np.array([1, 0]), np.array([0.5, bad]),
-                                  ["a", "a"]), path)
+        save_scores(ScoredSamples(np.array([0, 1]), np.array([1, 0]), np.array([0.5, bad])), path)
         with pytest.raises(ScoreError, match=f"{path.name}: non-finite score in row 1"):
             load_scores(path)
 

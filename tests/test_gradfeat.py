@@ -7,7 +7,7 @@ from gradgate import storage
 from gradgate.attacks import fgsm
 from gradgate.autodiff import Tensor, backward
 from gradgate.data import gen_glyphs, gen_ood
-from gradgate.detector import SCORE_BLOCK, DetectorMLP, msp_scores, score
+from gradgate.detector import DetectorMLP, msp_scores, score
 from gradgate.gradfeat import (
     CHUNK_SIZE,
     FEATURE_MAGIC,
@@ -296,12 +296,12 @@ class TestBatchInvariance:
             for i in range(size):
                 assert got[i].tobytes() == want[offset + i].tobytes(), (offset, i)
 
-    @pytest.mark.parametrize("size", [1, 2, 3, SCORE_BLOCK - 1, SCORE_BLOCK + 1])
+    @pytest.mark.parametrize("size", [1, 2, 3, FORWARD_BLOCK - 1, FORWARD_BLOCK + 1])
     def test_detector_rows_equal_whole_set_rows_bytewise(self, whole, size):
         _, _, values, det, _ = whole
         rng = np.random.default_rng(29)
         rows = rng.normal(values.mean(axis=0), values.std(axis=0),
-                          size=(2 * SCORE_BLOCK + 3, values.shape[1]))
+                          size=(2 * FORWARD_BLOCK + 3, values.shape[1]))
         want = det.score(rows)
         for offset in range(0, len(rows) - size + 1, max(1, size // 2)):
             got = det.score(rows[offset:offset + size])
@@ -371,30 +371,33 @@ class TestLayout:
 
 class TestNormSummary:
     def test_single_sample_collapses(self):
-        summary = norm_summary(np.array([[2.0, 5.0]]), ["only"])
-        assert summary["only"][0] == (2.0, 2.0, 2.0, 2.0, 2.0)
-        assert summary["only"][1] == (5.0, 5.0, 5.0, 5.0, 5.0)
+        summary = norm_summary(np.array([[2.0, 5.0]]))
+        assert summary.tolist() == [[2.0, 5.0]] * 5
 
-    def test_constant_group(self):
-        summary = norm_summary(np.full((7, 2), 3.25), ["c"] * 7)
-        for stats in summary["c"]:
-            assert stats == (3.25, 3.25, 3.25, 3.25, 3.25)
+    def test_constant_set(self):
+        assert norm_summary(np.full((7, 2), 3.25)).tolist() == [[3.25, 3.25]] * 5
 
-    def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(11)
-        values = rng.standard_normal((40, 3))
-        tags = ["a"] * 25 + ["b"] * 15
-        summary = norm_summary(values, tags)
-        for tag, rows in (("a", values[:25]), ("b", values[25:])):
-            for j in range(3):
-                mn, q1, med, q3, mx = summary[tag][j]
-                oq1, omed, oq3 = quartiles_oracle(rows[:, j])
-                assert mn == rows[:, j].min() and mx == rows[:, j].max()
-                np.testing.assert_allclose([q1, med, q3], [oq1, omed, oq3], rtol=1e-12)
+    @pytest.mark.parametrize("n", [2, 15, 25, 40])
+    def test_matches_sort_oracle(self, n):
+        values = np.random.default_rng(11).standard_normal((n, 3))
+        summary = norm_summary(values)
+        assert summary.shape == (5, 3)
+        for j in range(3):
+            mn, q1, med, q3, mx = summary[:, j]
+            assert mn == values[:, j].min() and mx == values[:, j].max()
+            np.testing.assert_allclose([q1, med, q3], quartiles_oracle(values[:, j]), rtol=1e-12)
 
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            norm_summary(np.empty((0, 2)), [])
+    def test_equals_the_per_column_quartiles_bytewise(self):
+        # the quartiles of the table compare-norms wrote one column at a time
+        values = np.random.default_rng(12).exponential(size=(37, 8))
+        for j, stats in enumerate(norm_summary(values).T):
+            col = values[:, j]
+            want = [col.min(), *np.quantile(col, [0.25, 0.5, 0.75]), col.max()]
+            assert stats.tobytes() == np.array(want).tobytes()
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            norm_summary(np.empty((0, 2)))
 
 
 class TestFeatureFile:
@@ -437,7 +440,8 @@ class TestFeatureFile:
 
     def test_save_refuses_rows_it_cannot_store(self, tmp_path):
         fs = unlabeled_features(np.zeros((3, 2)), "a")
-        for other in (fs.with_anomaly_label(1), fs.subset([0, 2]),
+        for other in (FeatureSet(fs.values, fs.sample_ids, np.ones(3, dtype=np.int64), fs.tags),
+                      fs.subset([0, 2]),
                       concat_features([fs, unlabeled_features(np.zeros((1, 2)), "b")])):
             with pytest.raises(FeatureError, match="only the unlabeled rows"):
                 save_features(other, tmp_path / "x.gfeat")

@@ -111,8 +111,8 @@ class TestBuild:
     def test_small_cnn_has_eight_param_sets(self):
         model = build_classifier(small_cnn(), seed=0)
         assert len(model.params) == 8
-        assert model.param_names()[:2] == ["layer0.weight", "layer0.bias"]
-        assert [ps.ordinal for ps in model.params] == list(range(8))
+        assert model.param_names() == [f"layer{i}.{suffix}" for i in range(4)
+                                       for suffix in ("weight", "bias")]
 
     def test_mlp_has_four_param_sets(self):
         model = build_classifier(mlp(num_classes=10), seed=0)
@@ -306,8 +306,8 @@ class TestCheckpoint:
         assert loaded.val_accuracy == model.val_accuracy
         assert np.array_equal(loaded.norm_mean, model.norm_mean)
         assert np.array_equal(loaded.norm_std, model.norm_std)
+        assert loaded.param_names() == model.param_names()
         for pa, pb in zip(model.params, loaded.params):
-            assert pa.name == pb.name and pa.ordinal == pb.ordinal
             assert pa.tensor.data.tobytes() == pb.tensor.data.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
@@ -410,8 +410,8 @@ class TestTrainable:
         model.set_normalization(np.random.default_rng(1).uniform(size=(8, 1, 16, 16)))
         live = model.trainable()
         assert len(live.params) == len(model.params)
+        assert live.param_names() == model.param_names()
         for ps, ls in zip(model.params, live.params):
-            assert (ls.name, ls.ordinal) == (ps.name, ps.ordinal)
             assert ls.tensor.data is ps.tensor.data
             assert ls.tensor.requires_grad
             assert not ps.tensor.requires_grad  # the model itself stays constant
