@@ -184,6 +184,11 @@ ARTIFACTS = {
 }
 
 
+def artifact_path(out: Path, cfg: ExperimentConfig, stem: str, ext: str) -> Path:
+    """``<stem>-<config digest>.<ext>`` in ``out``: the name of every file a run writes."""
+    return out / f"{stem}-{cfg.digest()}.{ext}"
+
+
 class Run:
     """The artifact graph of one config in one output directory: each node
     is loaded or made at most once, and its value kept."""
@@ -202,7 +207,7 @@ class Run:
         self.values, self.headers = {}, {}
 
     def path(self, stem: str, ext: str) -> Path:
-        return self.out / f"{stem}-{self.digest}.{ext}"
+        return artifact_path(self.out, self.cfg, stem, ext)
 
     def check(self, *kinds: str) -> None:
         """Check every node of ``kinds`` in order: see :meth:`header`."""
@@ -297,7 +302,7 @@ def report_table_text(cfg: ExperimentConfig, rows) -> str:
 def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
     """Write ``report-<digest>.kv`` and ``report-<digest>.txt``."""
     for suffix, render in (("kv", report_kv_text), ("txt", report_table_text)):
-        with storage.atomic_open(out / f"report-{cfg.digest()}.{suffix}") as fh:
+        with storage.atomic_open(artifact_path(out, cfg, "report", suffix)) as fh:
             fh.write(render(cfg, rows))
 
 
@@ -305,23 +310,22 @@ def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _config(args) -> ExperimentConfig:
-    """The config file with the command-line overrides."""
-    return ExperimentConfig.from_file(args.config,
-                                      {"out_dir": args.out, "master_seed": args.seed})
+def _config(args) -> tuple:
+    """The config file with the command-line overrides, and its output directory."""
+    cfg = ExperimentConfig.from_file(args.config,
+                                     {"out_dir": args.out, "master_seed": args.seed})
+    return cfg, Path(cfg.out_dir)
 
 
 def _run(args, *kinds: str) -> Run:
     """The run of :func:`_config`, with every node of ``kinds`` checked."""
-    cfg = _config(args)
-    run = Run(cfg, Path(cfg.out_dir))
+    run = Run(*_config(args))
     run.check(*kinds)
     return run
 
 
 def cmd_train_classifier(args) -> int:
-    cfg = _config(args)
-    model, path = ensure_classifier(cfg, Path(cfg.out_dir))
+    model, path = ensure_classifier(*_config(args))
     print(f"checkpoint: {path}")
     print(f"val_accuracy: {model.val_accuracy}")
     return 0
@@ -343,10 +347,10 @@ def cmd_extract_features(args) -> int:
 
 
 def cmd_run_experiment(args) -> int:
-    cfg = _config(args)
-    rows = run_experiment(cfg, Path(cfg.out_dir))
+    cfg, out = _config(args)
+    rows = run_experiment(cfg, out)
     print(report_table_text(cfg, rows))
-    print(f"report: {Path(cfg.out_dir) / f'report-{cfg.digest()}.kv'}")
+    print(f"report: {artifact_path(out, cfg, 'report', 'kv')}")
     return 0
 
 

@@ -32,6 +32,7 @@ class ScoredSamples:
     sample_ids: np.ndarray
     labels: np.ndarray   # {0, 1}, 1 = anomalous
     scores: np.ndarray
+    tags: list | None = None  # per-row source tags, when a caller has them; none are read
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -343,11 +343,13 @@ class TestFeatureCache:
 
 
 class TestRunExperiment:
-    def test_report_has_one_row_per_source_and_method(self, tiny_config):
+    def test_report_has_one_row_per_source_and_method(self, tiny_config, capsys):
         path, out = tiny_config
         assert cli.main(["run-experiment", "--config", str(path)]) == 0
         cfg = ExperimentConfig.from_file(path)
-        report = (out / f"report-{cfg.digest()}.kv").read_text()
+        kv_path = out / f"report-{cfg.digest()}.kv"
+        assert capsys.readouterr().out.splitlines()[-1] == f"report: {kv_path}"
+        report = kv_path.read_text()
         kv = dict(line.split("=", 1) for line in report.splitlines())
         for source in ("adv-fgsm", "adv-semantic", "ood-uniform-noise"):
             for method in ("gradient", "activation", "msp"):
