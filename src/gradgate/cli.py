@@ -184,9 +184,9 @@ ARTIFACTS = {
 }
 
 
-def artifact_path(out: Path, cfg: ExperimentConfig, stem: str, ext: str) -> Path:
+def artifact_path(out: Path, digest: str, stem: str, ext: str) -> Path:
     """``<stem>-<config digest>.<ext>`` in ``out``: the name of every file a run writes."""
-    return out / f"{stem}-{cfg.digest()}.{ext}"
+    return out / f"{stem}-{digest}.{ext}"
 
 
 class Run:
@@ -207,7 +207,7 @@ class Run:
         self.values, self.headers = {}, {}
 
     def path(self, stem: str, ext: str) -> Path:
-        return artifact_path(self.out, self.cfg, stem, ext)
+        return artifact_path(self.out, self.digest, stem, ext)
 
     def check(self, *kinds: str) -> None:
         """Check every node of ``kinds`` in order: see :meth:`header`."""
@@ -302,7 +302,7 @@ def report_table_text(cfg: ExperimentConfig, rows) -> str:
 def write_report(cfg: ExperimentConfig, rows, out: Path) -> None:
     """Write ``report-<digest>.kv`` and ``report-<digest>.txt``."""
     for suffix, render in (("kv", report_kv_text), ("txt", report_table_text)):
-        with storage.atomic_open(artifact_path(out, cfg, "report", suffix)) as fh:
+        with storage.atomic_open(artifact_path(out, cfg.digest(), "report", suffix)) as fh:
             fh.write(render(cfg, rows))
 
 
@@ -350,7 +350,7 @@ def cmd_run_experiment(args) -> int:
     cfg, out = _config(args)
     rows = run_experiment(cfg, out)
     print(report_table_text(cfg, rows))
-    print(f"report: {artifact_path(out, cfg, 'report', 'kv')}")
+    print(f"report: {artifact_path(out, cfg.digest(), 'report', 'kv')}")
     return 0
 
 
