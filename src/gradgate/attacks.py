@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    amax,
-    backward,
-    relu,
-    softmax_cross_entropy,
-    tanh,
-    tsum,
-)
+from .autodiff import Tensor, backward, cw_hinge, softmax_cross_entropy, tsum
 from .nn import FORWARD_BLOCK, map_blocks
 
 ATTACK_KINDS = ("fgsm", "bim", "pgd", "iterll", "cw", "semantic")
@@ -69,12 +61,11 @@ class AttackResult:
     targets: np.ndarray | None = None  # targeted kinds only
 
 
-def _input_grad(model, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of mean cross-entropy with respect to the raw pixels."""
+def _input_grad(model, x: np.ndarray, loss):
+    """The raw-pixel gradient of the scalar ``loss(logits)``, and the logits."""
     xt = Tensor(x, requires_grad=True)
     logits, _ = model.forward(xt)
-    loss = softmax_cross_entropy(logits, labels)
-    return backward(loss)[xt]
+    return backward(loss(logits))[xt], logits.data
 
 
 def _norms(x: np.ndarray, adv: np.ndarray):
@@ -109,20 +100,21 @@ def _finish(kind, model, x, y, adv, targets=None, epsilon=None) -> AttackResult:
 def fgsm(model, x: np.ndarray, y: np.ndarray, epsilon: float) -> AttackResult:
     """Single signed-gradient ascent step on the true-label cross-entropy:
     bim with one step of size epsilon."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     adv = _iterate_signed(model, x, y, epsilon, epsilon, 1, np.zeros_like(x))
     return _finish("fgsm", model, x, y, adv, epsilon=epsilon)
 
 
 def _iterate_signed(model, x, labels, epsilon, alpha, iterations, delta0, descend=False):
-    """Shared loop for bim/pgd/iterll: signed steps on the accumulated
+    """Shared loop for fgsm/bim/pgd/iterll: signed steps on the accumulated
     perturbation, boxed to [-epsilon, epsilon], iterates clipped to [0, 1]."""
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
     step = -alpha if descend else alpha
 
     def attack_block(xb, lb, delta):
+        loss = lambda logits: softmax_cross_entropy(logits, lb)
         for _ in range(iterations):
-            g = _input_grad(model, np.clip(xb + delta, 0.0, 1.0), lb)
+            g, _ = _input_grad(model, np.clip(xb + delta, 0.0, 1.0), loss)
             delta = np.clip(delta + step * np.sign(g), -epsilon, epsilon)
         return np.clip(xb + delta, 0.0, 1.0)
 
@@ -130,8 +122,6 @@ def _iterate_signed(model, x, labels, epsilon, alpha, iterations, delta0, descen
 
 
 def bim(model, x, y, epsilon, alpha, iterations) -> AttackResult:
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     adv = _iterate_signed(model, x, y, epsilon, alpha, iterations, np.zeros_like(x))
     return _finish("bim", model, x, y, adv, epsilon=epsilon)
 
@@ -143,8 +133,6 @@ def pgd(model, x, y, epsilon, alpha, iterations, seed) -> AttackResult:
     (seed, sample index), so the starts do not depend on how the samples
     are blocked.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     delta0 = np.empty_like(x)
     for i in range(len(x)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
@@ -155,8 +143,6 @@ def pgd(model, x, y, epsilon, alpha, iterations, seed) -> AttackResult:
 
 def iterll(model, x, epsilon, alpha, iterations) -> AttackResult:
     """Iterative descent toward the least-likely class of the clean logits."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     targets = np.argmin(model.logits(x), axis=1)
     adv = _iterate_signed(model, x, targets, epsilon, alpha, iterations,
                           np.zeros_like(x), descend=True)
@@ -181,46 +167,35 @@ def cw_l2(model, x, y, c=1.0, iterations=200, lr=0.1) -> AttackResult:
 
 
 def _cw_block(model, x, y, c, iterations, lr) -> np.ndarray:
-    n, num_classes = len(x), model.num_classes
+    n = len(x)
     interior = np.clip(x, 1e-6, 1.0 - 1e-6)
     w = np.arctanh(2.0 * interior - 1.0)
-
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
-    exclude_true = Tensor(onehot * -1e30)
-    onehot_t = Tensor(onehot)
-    x0 = Tensor(x)
+    hinge = lambda logits: tsum(cw_hinge(logits, y)) * c  # max(., -kappa) with kappa = 0
 
     best_adv = x.copy()
-    best_l2 = np.full(n, np.inf)
-    success = np.zeros(n, dtype=bool)
+    best_l2 = np.full(n, np.inf)  # finite once some iterate was misclassified
 
     def record(adv_pixels, logits_data):
-        nonlocal success
         diff = (adv_pixels - x).reshape(n, -1)
         l2 = (diff * diff).sum(axis=1)
         miss = np.argmax(logits_data, axis=1) != y
         better = miss & (l2 < best_l2)
         best_adv[better] = adv_pixels[better]
         best_l2[better] = l2[better]
-        success |= miss
 
     for _ in range(iterations):
-        wt = Tensor(w, requires_grad=True)
-        adv = tanh(wt) * 0.5 + 0.5
-        logits, _ = model.forward(adv)
-        record(adv.data, logits.data)
-
-        dist = tsum((adv - x0) * (adv - x0))
-        z_true = tsum(logits * onehot_t, axis=1)
-        z_other = amax(logits + exclude_true, axis=1)
-        hinge = relu(z_true - z_other)  # max(., -kappa) with kappa = 0
-        loss = dist + tsum(hinge) * c
-        w = w - lr * backward(loss)[wt]
+        t = np.tanh(w)
+        adv = t * 0.5 + 0.5
+        g_model, logits = _input_grad(model, adv, hinge)
+        record(adv, logits)
+        # the objective's pixel gradient, summed in this order: the bytes depend on it
+        d = adv - x
+        g = (d + d) + g_model
+        w = w - lr * ((g * 0.5) * (1.0 - t * t))
 
     final = np.tanh(w) * 0.5 + 0.5
     record(final, model.logits(final))
-    return np.where(success[:, None, None, None], best_adv, final)
+    return np.where(np.isfinite(best_l2)[:, None, None, None], best_adv, final)
 
 
 def semantic(model, x: np.ndarray, y: np.ndarray) -> AttackResult:

@@ -9,8 +9,8 @@ shared read-only between graphs evaluated on different threads.
 
 All arithmetic is 64-bit. Broadcasting is deliberately restricted: the only
 implicit broadcast is a right operand whose shape equals the left operand's
-shape minus the leading batch axis (bias-add style), plus plain python
-scalars.
+shape minus the leading batch axis (bias-add style). A plain python scalar
+is accepted only as :func:`mul`'s right operand.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar. Scalars mean python ints/floats, never silent arrays.
+    # Operator sugar; only mul takes a python scalar.
     def __add__(self, other):
         return add(self, other)
 
@@ -82,10 +82,8 @@ def _bias_broadcastable(a: Tensor, b: Tensor) -> bool:
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        return _node(a.data + float(b), (a,), lambda g: (g,))
     b = as_tensor(b)
     need_b = b.requires_grad
     if a.data.shape == b.data.shape:
@@ -95,10 +93,8 @@ def add(a: Tensor, b) -> Tensor:
     raise ShapeError("add", a.data.shape, b.data.shape)
 
 
-def sub(a: Tensor, b) -> Tensor:
+def sub(a: Tensor, b: Tensor) -> Tensor:
     a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        return _node(a.data - float(b), (a,), lambda g: (g,))
     b = as_tensor(b)
     need_b = b.requires_grad
     if a.data.shape == b.data.shape:
@@ -144,12 +140,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
-def tanh(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    t = np.tanh(x.data)
-    return _node(t, (x,), lambda g: (g * (1.0 - t * t),))
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
@@ -166,29 +156,11 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(val, (x,), vjp)
 
 
-def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over all elements (axis=None, scalar result) or one axis."""
+def tsum(x: Tensor) -> Tensor:
+    """Sum over all elements, as a scalar."""
     x = as_tensor(x)
-    if axis is None:
-        shape = x.data.shape
-        return _node(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
-    ax = axis
-    expand = lambda g: np.broadcast_to(np.expand_dims(g, ax), x.data.shape).copy()
-    return _node(x.data.sum(axis=ax), (x,), lambda g: (expand(g),))
-
-
-def amax(x: Tensor, axis: int) -> Tensor:
-    """Max along one axis; on ties the gradient routes to the first maximum."""
-    x = as_tensor(x)
-    idx = np.argmax(x.data, axis=axis)
-    val = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
-
-    def vjp(g):
-        dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        return (dx,)
-
-    return _node(val, (x,), vjp)
+    shape = x.data.shape
+    return _node(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +313,22 @@ def maxpool2d(x: Tensor, size: int) -> Tensor:
 # fused losses (numerically stable forms with hand-derived backward rules)
 # ---------------------------------------------------------------------------
 
+def _class_labels(op: str, logits: Tensor, labels) -> np.ndarray:
+    """The int64 labels of the rows of (B, N) ``logits``, each in [0, N)."""
+    labels = np.asarray(labels)
+    if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
+        raise ShapeError(op, logits.data.shape, labels.shape)
+    N = logits.data.shape[1]
+    if labels.min() < 0 or labels.max() >= N:
+        raise ValueError(f"{op}: labels must lie in [0, {N})")
+    return labels.astype(np.int64)
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy over a batch of integer labels."""
     logits = as_tensor(logits)
-    labels = np.asarray(labels)
-    if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
-        raise ShapeError("softmax_cross_entropy", logits.data.shape, labels.shape)
-    B, N = logits.data.shape
-    if labels.min() < 0 or labels.max() >= N:
-        raise ValueError(f"softmax_cross_entropy: labels must lie in [0, {N})")
-    y = labels.astype(np.int64)
+    y = _class_labels("softmax_cross_entropy", logits, labels)
+    B = len(y)
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     shifted = z - m
@@ -365,6 +343,31 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         return (g * p / B,)
 
     return _node(val, (logits,), vjp)
+
+
+def cw_hinge(logits: Tensor, labels) -> Tensor:
+    """Per-row Carlini-Wagner hinge max(z_y - max_{j != y} z_j, 0).
+
+    A row with a positive margin gets +g at y and -g at its first maximal
+    other class; every other entry, zero-margin rows included, gets +0.0.
+    """
+    logits = as_tensor(logits)
+    y = _class_labels("cw_hinge", logits, labels)
+    rows = np.arange(len(y))
+    z = logits.data
+    others = z.copy()
+    others[rows, y] = -np.inf
+    j = np.argmax(others, axis=1)
+    margin = z[rows, y] - z[rows, j]
+    p = rows[margin > 0.0]  # the rows whose hinge is active
+
+    def vjp(g):
+        dz = np.zeros_like(z)
+        dz[p, y[p]] = g[p]
+        dz[p, j[p]] = -g[p]
+        return (dz,)
+
+    return _node(np.maximum(margin, 0.0), (logits,), vjp)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
@@ -444,7 +447,6 @@ def backward(root: Tensor) -> dict:
             acc = grads.get(parent)
             grads[parent] = pg if acc is None else acc + pg
     return grads
-
 
 
 def sgd_step(params, grads, velocity, lr: float, momentum: float,

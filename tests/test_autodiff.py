@@ -11,13 +11,13 @@ from gradgate.autodiff import (
     backward,
     bce_with_logits,
     conv2d,
+    cw_hinge,
     matmul,
     maxpool2d,
     relu,
     sgd_step,
     softmax_cross_entropy,
     stable_sigmoid,
-    tanh,
     tsum,
 )
 
@@ -138,6 +138,11 @@ def central_diff(f, arr, index, h=1e-5):
     return (hi - lo) / (2 * h)
 
 
+def sum_of_squares(t):
+    """A smooth scalar reduction whose gradient, 2t, reaches every element of t."""
+    return tsum(t * t)
+
+
 def grad_matches_fd(build_loss, params, rng, n_coords=20, h=1e-5, tol=1e-4):
     """Compare analytic gradients of a scalar loss against central differences
     on randomly chosen coordinates of each parameter tensor."""
@@ -185,7 +190,7 @@ class TestForwardValues:
         assert np.array_equal(out.data, [[[[5.0, 7.0], [13.0, 15.0]]]])
 
     def test_clip(self):
-        # cw_l2 clips its margin below at 0 through relu: np.clip's values
+        # relu clips below at 0: np.clip's values
         z = np.array([-2.0, -0.0, 0.0, 0.5, 3.0])
         assert relu(Tensor(z)).data.tobytes() == np.clip(z, 0.0, None).tobytes()
 
@@ -274,7 +279,7 @@ class TestGradientChecks:
         x = Tensor(rng.standard_normal((2, 2, 6, 6)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
         b = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
-        build = lambda: tsum(tanh(conv2d(x, w, b, stride=1, padding=1)))
+        build = lambda: sum_of_squares(conv2d(x, w, b, stride=1, padding=1))
         grad_matches_fd(build, [w, b], rng)
 
     def test_conv_stride_two(self):
@@ -292,21 +297,17 @@ class TestGradientChecks:
         grad_matches_fd(build, [x], rng)
 
     def test_cw_objective(self):
-        """The cw_l2 loss, through a linear model: tanh box, squared L2
-        distance and the relu hinge on the true-class margin."""
+        """cw_l2's model term through a linear model: c times the summed
+        hinge, differentiated with respect to the pixels."""
         rng = self.rng
-        x0 = Tensor(rng.uniform(0.1, 0.9, size=(3, 4)))
-        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        weights = Tensor(rng.standard_normal((4, 5)))
-        onehot = np.eye(5)[[0, 2, 4]]
-
-        def build():
-            adv = tanh(w) * 0.5 + 0.5
-            z = matmul(adv, weights)
-            margin = tsum(z * Tensor(onehot), axis=1) - ad.amax(z + Tensor(onehot * -1e30), axis=1)
-            return tsum((adv - x0) * (adv - x0)) + tsum(relu(margin)) * 2.0
-
-        grad_matches_fd(build, [w], rng)
+        adv = Tensor(rng.uniform(0.1, 0.9, size=(4, 6)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((6, 5)))
+        z = adv.data @ weights.data
+        y = np.argmax(z, axis=1)
+        y[:2] = np.argmin(z[:2], axis=1)  # two rows already misclassified
+        build = lambda: tsum(cw_hinge(matmul(adv, weights), y)) * 2.0
+        assert np.count_nonzero(build().data) and np.count_nonzero(backward(build())[adv])
+        grad_matches_fd(build, [adv], rng)
 
     def test_sigmoid_log(self):
         """bce_with_logits is -log(sigmoid) in its saturating softplus form:
@@ -320,7 +321,7 @@ class TestGradientChecks:
         grad_matches_fd(lambda: bce_with_logits(z, t), [z], rng)
 
     def test_clip_interior(self):
-        # the relu hinge on either side of its bound 0, away from the kink
+        # relu on either side of its bound 0, away from the kink
         rng = self.rng
         x = Tensor(rng.uniform(0.1, 0.9, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4)),
                    requires_grad=True)
@@ -333,12 +334,6 @@ class TestGradientChecks:
         t = rng.integers(0, 2, size=(2, 6)).astype(float)
         build = lambda: bce_with_logits(z, t)
         grad_matches_fd(build, [z], rng)
-
-    def test_amax_and_sum_axis(self):
-        rng = self.rng
-        x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        build = lambda: tsum(ad.amax(x, axis=1) * ad.amax(x, axis=1)) + tsum(tsum(x, axis=0) * tsum(x, axis=0))
-        grad_matches_fd(build, [x], rng)
 
 
 REQUIRES_GRAD = [flags for flags in itertools.product((False, True), repeat=3) if any(flags)]
@@ -361,7 +356,7 @@ class TestGradientSkipping:
         out = conv2d(x, w, b, stride=2, padding=1)
         computed = out._vjp(np.ones(out.data.shape))
         assert [g is not None for g in computed] == list(flags)
-        grad_matches_fd(lambda: tsum(tanh(conv2d(x, w, b, stride=2, padding=1))),
+        grad_matches_fd(lambda: sum_of_squares(conv2d(x, w, b, stride=2, padding=1)),
                         [t for t in (x, w, b) if t.requires_grad], self.rng)
 
     @pytest.mark.parametrize("flags", REQUIRES_GRAD)
@@ -382,7 +377,7 @@ class TestGradientSkipping:
         out = op(a, b)
         da, db = out._vjp(np.ones(out.data.shape))
         assert da is not None and db is None
-        grad_matches_fd(lambda: tsum(tanh(op(a, b))), [a], self.rng)
+        grad_matches_fd(lambda: sum_of_squares(op(a, b)), [a], self.rng)
 
     @pytest.mark.parametrize("right_shape", [(4, 3), (3,)])
     def test_mul_constant_left_operand_gets_no_gradient(self, right_shape):
@@ -390,7 +385,7 @@ class TestGradientSkipping:
         out = a * b
         da, db = out._vjp(np.ones(out.data.shape))
         assert da is None and db is not None
-        grad_matches_fd(lambda: tsum(tanh(a * b)), [b], self.rng)
+        grad_matches_fd(lambda: sum_of_squares(a * b), [b], self.rng)
 
 
 class TestMaxpoolReshape:
@@ -418,7 +413,7 @@ class TestInvariants:
         for _ in range(5):
             x = Tensor(rng.standard_normal(6), requires_grad=True)
             f = tsum(x * x)
-            g = tsum(tanh(x))
+            g = tsum(x * x * x)
             a, b = rng.standard_normal(2)
             combined = backward(f * float(a) + g * float(b))[x]
             separate = a * backward(f)[x] + b * backward(g)[x]
@@ -451,7 +446,7 @@ class TestInvariants:
         assert np.array_equal(grads[x], expected)
 
     def test_clip_zero_gradient_at_bounds(self):
-        # cw_l2's hinge max(margin, 0): a margin of exactly 0 gets no gradient
+        # relu max(x, 0): an input of exactly 0 gets no gradient
         x = Tensor([-1.0, -0.0, 0.0, 0.5], requires_grad=True)
         out = relu(x)
         assert np.array_equal(out.data, [0.0, 0.0, 0.0, 0.5])
@@ -506,6 +501,12 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match=op.__name__):
             op(Tensor(np.ones((2, 4, 3))), Tensor(np.ones(3)))
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub])
+    def test_python_scalar_is_only_a_mul_operand(self, op):
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(Tensor(np.ones((2, 3))), 0.5)
+        assert np.array_equal(ad.mul(Tensor(np.ones((2, 3))), 0.5).data, np.full((2, 3), 0.5))
+
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeError, match="conv2d"):
             conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))), Tensor(np.zeros(1)))
@@ -551,6 +552,88 @@ class TestReluBytes:
         out = relu(Tensor(x)).data
         assert np.isnan(out[n // 2])
         assert np.isfinite(np.delete(out, n // 2)).all()
+
+
+def cw_hinge_reference(z, y):
+    """Row-loop oracle: the hinge values and, per row, the index of the
+    first maximal class other than y."""
+    values, firsts = [], []
+    for row, label in zip(z, y):
+        others = [k for k in range(len(row)) if k != label]
+        first = max(others, key=lambda k: (row[k], -k))
+        values.append(max(row[label] - row[first], 0.0))
+        firsts.append(first)
+    return np.array(values), np.array(firsts)
+
+
+class TestCwHinge:
+    """cw_hinge's values against a row-loop oracle, and its gradient: +g at
+    the label and -g at the first maximal other class on rows with a
+    positive margin, +0.0 everywhere else."""
+
+    def test_routes_to_the_label_and_the_first_tied_other_maximum(self):
+        z = np.array([[5.0, 3.0, 1.0, 3.0],
+                      [2.0, 2.0, 2.0, 4.0],
+                      [0.0, 7.0, 7.0, -1.0]])
+        y = np.array([0, 3, 3])
+        logits = Tensor(z, requires_grad=True)
+        out = cw_hinge(logits, y)
+        assert np.array_equal(out.data, [2.0, 2.0, 0.0])
+        g = np.array([1.5, -0.25, 3.0])
+        dz = out._vjp(g)[0]
+        expected = np.zeros_like(z)
+        expected[0, [0, 1]] = [1.5, -1.5]
+        expected[1, [3, 0]] = [-0.25, 0.25]
+        assert dz.tobytes() == expected.tobytes()
+
+    def test_zero_and_negative_margins_give_positive_zero_bits(self):
+        z = np.array([[3.0, 3.0, 1.0],      # zero margin, tied with the label
+                      [-1.0, 4.0, 2.0],     # negative margin
+                      [-0.0, 0.0, -2.0]])   # zero margin between signed zeros
+        logits = Tensor(z, requires_grad=True)
+        out = cw_hinge(logits, np.zeros(3, dtype=int))
+        zeros = np.zeros(3)
+        assert out.data.tobytes() == zeros.tobytes()
+        for g in (np.ones(3), -np.ones(3)):
+            assert out._vjp(g)[0].tobytes() == np.zeros_like(z).tobytes()
+
+    @pytest.mark.parametrize("column", ["first", "last"])
+    def test_label_in_the_first_and_last_column(self, column):
+        rng = np.random.default_rng(90)
+        z = rng.standard_normal((8, 6))
+        y = np.full(8, 0 if column == "first" else 5)
+        z[::2, y[0]] += 3.0  # every other row has a positive margin
+        values, firsts = cw_hinge_reference(z, y)
+        out = cw_hinge(Tensor(z, requires_grad=True), y)
+        assert out.data.tobytes() == values.tobytes()
+        g = rng.standard_normal(8)
+        dz = out._vjp(g)[0]
+        expected = np.zeros_like(z)
+        for r in np.flatnonzero(values > 0.0):
+            expected[r, y[r]], expected[r, firsts[r]] = g[r], -g[r]
+        assert (values > 0.0).sum() >= 4
+        assert dz.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 3]])
+    def test_out_of_range_labels_raise(self, labels):
+        with pytest.raises(ValueError, match="cw_hinge"):
+            cw_hinge(Tensor(np.zeros((2, 3))), np.array(labels))
+
+    def test_label_shape_must_match_the_rows(self):
+        with pytest.raises(ShapeError, match="cw_hinge"):
+            cw_hinge(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
+
+    def test_grad_matches_fd_away_from_ties(self):
+        rng = np.random.default_rng(91)
+        z = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        # the label is each row's top, second or third class
+        y = np.argsort(z.data, axis=1)[np.arange(6), [-1, -2, -3, -1, -2, -3]]
+        # no margin near 0 and no near tie among the top three for the fd step to cross
+        assert np.all(np.diff(np.sort(z.data, axis=1)[:, -3:], axis=1) > 1e-3)
+        values, _ = cw_hinge_reference(z.data, y)
+        assert values.any() and not values.all()
+        weights = Tensor(rng.uniform(0.5, 2.0, size=6))
+        grad_matches_fd(lambda: tsum(cw_hinge(z, y) * weights), [z], rng)
 
 
 class TestMaxpoolMasks:
