@@ -61,8 +61,8 @@ class Tensor:
         return mul(self, other)
 
 
-def as_tensor(x, requires_grad: bool = False) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=requires_grad)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data, parents, vjp) -> Tensor:

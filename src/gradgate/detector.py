@@ -1,10 +1,11 @@
 """Binary anomaly detection on feature vectors, plus evaluation metrics.
 
-The detector is a two-layer MLP (one ReLU hidden layer, one sigmoid
-output) trained with SGD on binary cross-entropy; anomalous inputs are the
-positive class. Features are standardized with train-split statistics that
-freeze at fit time. The max-softmax-probability baseline scores inputs
-straight from the classifier with no training.
+The detector is a dense-only :class:`~gradgate.nn.Classifier` (one ReLU
+hidden layer, one logit whose sigmoid is the score) trained with SGD on
+binary cross-entropy; anomalous inputs are the positive class. Features are
+standardized with train-split statistics that freeze at fit time. The
+max-softmax-probability baseline scores inputs straight from the classifier
+with no training.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import storage
-from .autodiff import Tensor, bce_with_logits, matmul, relu, stable_sigmoid
+from .autodiff import bce_with_logits, stable_sigmoid
 from .data import stratify
 from .gradfeat import FeatureSet, concat_features
-from .nn import FORWARD_BLOCK, map_blocks, sgd_epochs
+from .nn import ArchSpec, Classifier, DenseLayer, build_classifier, sgd_epochs
 
 
 class ScoreError(RuntimeError):
@@ -185,49 +186,38 @@ def detection_test_part(sizes, seed: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# detector MLP
+# detector
 # ---------------------------------------------------------------------------
 
-class DetectorMLP:
-    """Two-layer sigmoid-output MLP; standardizes its inputs with the mean
-    and std of the train values it is built from."""
+@dataclass
+class Detector:
+    """A one-logit dense classifier on feature values standardized, outside
+    its graph, with the mean and std of the train values it was built from."""
 
-    def __init__(self, train_values: np.ndarray, hidden: int, seed: int):
-        input_dim = train_values.shape[1]
-        rng = np.random.default_rng(seed)
-        b1 = 1.0 / np.sqrt(input_dim)
-        b2 = 1.0 / np.sqrt(hidden)
-        self.params = [Tensor(rng.uniform(-b, b, size=shape))
-                       for b, shape in ((b1, (input_dim, hidden)), (b1, hidden),
-                                        (b2, (hidden, 1)), (b2, 1))]
-        self.mean = train_values.mean(axis=0)
-        self.std = np.maximum(train_values.std(axis=0), 1e-12)
-        self.input_dim = input_dim
+    mean: np.ndarray
+    std: np.ndarray
+    net: Classifier
 
-    def standardize(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
-
-    def logit(self, std_values: np.ndarray, params: list) -> Tensor:
-        """Detector logits of (n, d) rows through ``params``: the constant
-        :attr:`params`, or requires-grad tensors over the same arrays while
-        training."""
-        w1, b1, w2, b2 = params
-        h = relu(matmul(Tensor(std_values), w1) + b1)
-        return matmul(h, w2) + b2
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """(n, d) feature values standardized, as (n, d, 1, 1) net inputs."""
+        if values.shape[1] != len(self.mean):
+            raise ValueError(f"feature dim {values.shape[1]} != detector dim {len(self.mean)}")
+        return ((values - self.mean) / self.std)[:, :, None, None]
 
     def score(self, values: np.ndarray) -> np.ndarray:
         """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
-        the endpoints only when a logit exceeds float64 resolution.
+        the endpoints only when a logit exceeds float64 resolution. A row's
+        score does not depend on the rows scored with it (see ``net.logits``)."""
+        return stable_sigmoid(self.net.logits(self.rows(values))[:, 0])
 
-        :meth:`logit` runs in ``FORWARD_BLOCK``-row blocks through
-        :func:`~gradgate.nn.map_blocks`, so a row's score does not depend on
-        the rows scored with it.
-        """
-        if values.shape[1] != self.input_dim:
-            raise ValueError(f"feature dim {values.shape[1]} != detector dim {self.input_dim}")
-        logits = map_blocks(lambda block: self.logit(block, self.params).data[:, 0],
-                            FORWARD_BLOCK, self.standardize(values))
-        return stable_sigmoid(logits)
+
+def build_detector(train_values: np.ndarray, hidden: int, seed: int) -> Detector:
+    """An untrained detector: one ReLU hidden layer of ``hidden`` units, its
+    parameters drawn by :func:`~gradgate.nn.build_classifier`."""
+    d = train_values.shape[1]
+    arch = ArchSpec((d, 1, 1), (DenseLayer(hidden, "relu"), DenseLayer(1)), 1)
+    return Detector(train_values.mean(axis=0), np.maximum(train_values.std(axis=0), 1e-12),
+                    build_classifier(arch, seed))
 
 
 MOMENTUM = 0.9
@@ -235,7 +225,7 @@ MOMENTUM = 0.9
 
 def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: int = 0,
                    learning_rate: float = 0.05, batch_size: int = 32, max_epochs: int = 200,
-                   patience: int = 10) -> DetectorMLP:
+                   patience: int = 10) -> Detector:
     """SGD with momentum ``MOMENTUM`` on binary cross-entropy, with early
     stopping on validation AUROC.
 
@@ -244,31 +234,32 @@ def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: i
     """
     if train.dim != val.dim:
         raise ValueError(f"train dim {train.dim} != val dim {val.dim}")
-    det = DetectorMLP(train.values, hidden, seed)
-    x = det.standardize(train.values)
+    det = build_detector(train.values, hidden, seed)
+    x = det.rows(train.values)
     y = train.anomaly_labels.astype(np.float64)[:, None]
+    live = det.net.trainable()
+    params = [ps.tensor for ps in live.params]  # over det.net's arrays until the restore below
     best_auroc = -1.0
-    best = [p.data.copy() for p in det.params]
+    best = [p.data.copy() for p in params]
     stale = 0
-    live = [Tensor(p.data, requires_grad=True) for p in det.params]
-    for _ in sgd_epochs(live, lambda idx: bce_with_logits(det.logit(x[idx], live), y[idx]),
+    for _ in sgd_epochs(params, lambda idx: bce_with_logits(live.forward(x[idx])[0], y[idx]),
                         len(train), batch_size, np.random.SeedSequence(entropy=(seed, 2)),
                         max_epochs, lr=learning_rate, momentum=MOMENTUM, weight_decay=0.0):
         val_auroc = auroc(val.anomaly_labels, det.score(val.values))
         if val_auroc > best_auroc + 1e-12:
             best_auroc = val_auroc
-            best = [p.data.copy() for p in det.params]
+            best = [p.data.copy() for p in params]
             stale = 0
         else:
             stale += 1
             if stale >= patience:
                 break
-    for p, data in zip(det.params, best):
-        p.data = data
+    for ps, data in zip(det.net.params, best):
+        ps.tensor.data = data
     return det
 
 
-def score(det: DetectorMLP, fs: FeatureSet) -> ScoredSamples:
+def score(det: Detector, fs: FeatureSet) -> ScoredSamples:
     return ScoredSamples(fs.sample_ids.copy(), fs.anomaly_labels.copy(), det.score(fs.values))
 
 

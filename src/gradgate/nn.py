@@ -213,8 +213,8 @@ class Classifier:
         self.arch = arch
         self.params = params
         c = arch.input_shape[0]
-        self.norm_mean = np.zeros(c) if norm_mean is None else np.asarray(norm_mean, dtype=np.float64)
-        self.norm_std = np.ones(c) if norm_std is None else np.asarray(norm_std, dtype=np.float64)
+        self.freeze_normalization(np.zeros(c) if norm_mean is None else norm_mean,
+                                  np.ones(c) if norm_std is None else norm_std)
         self.seed = seed
         self.val_accuracy = val_accuracy
 
@@ -225,12 +225,19 @@ class Classifier:
     def param_names(self) -> list:
         return [ps.name for ps in self.params]
 
+    def freeze_normalization(self, mean, std) -> None:
+        """Fix the per-channel input mean and std, and build once the
+        constant tensors every :meth:`forward` normalizes with."""
+        self.norm_mean = np.asarray(mean, dtype=np.float64)
+        self.norm_std = np.asarray(std, dtype=np.float64)
+        shape = self.arch.input_shape
+        self._shift = Tensor(np.broadcast_to(self.norm_mean[:, None, None], shape).copy())
+        self._scale = Tensor(np.broadcast_to((1.0 / self.norm_std)[:, None, None], shape).copy())
+
     def set_normalization(self, images: np.ndarray) -> None:
         """Freeze per-channel mean/std computed over a training set."""
-        mean = images.mean(axis=(0, 2, 3))
-        std = images.std(axis=(0, 2, 3))
-        self.norm_mean = mean
-        self.norm_std = np.maximum(std, 1e-8)
+        self.freeze_normalization(images.mean(axis=(0, 2, 3)),
+                                  np.maximum(images.std(axis=(0, 2, 3)), 1e-8))
 
     def forward(self, x, taps: list | None = None):
         """Map raw pixels in [0,1] to (logits, per-layer pre-activations).
@@ -251,10 +258,7 @@ class Classifier:
         if t.data.ndim != 4 or t.data.shape[1:] != self.arch.input_shape:
             raise ShapeError("forward", t.data.shape, ("batch",) + self.arch.input_shape)
         batch = t.data.shape[0]
-        c, h, w = self.arch.input_shape
-        mean = np.broadcast_to(self.norm_mean[:, None, None], (c, h, w))
-        inv_std = np.broadcast_to((1.0 / self.norm_std)[:, None, None], (c, h, w))
-        t = (t - Tensor(mean.copy())) * Tensor(inv_std.copy())
+        t = (t - self._shift) * self._scale
 
         pres = []
         it = iter(self.params)
@@ -420,8 +424,8 @@ def save_checkpoint(model: Classifier, path) -> None:
 def load_checkpoint(path) -> Classifier:
     """Rebuild a classifier bit-exactly; rejects missing metadata keys,
     records whose names or shapes disagree with the stored architecture,
-    non-finite parameters, and normalization stats that are non-finite or,
-    for the std, not > 0."""
+    non-finite parameters, and normalization stats that do not hold one
+    value per input channel, are non-finite or, for the std, are not > 0."""
     metadata, records = storage.read_container(path, CHECKPOINT_MAGIC)
     for key in ("arch", "seed", "norm_mean", "norm_std", "val_accuracy"):
         if key not in metadata:
@@ -440,10 +444,13 @@ def load_checkpoint(path) -> Classifier:
         if not np.isfinite(arr).all():
             raise storage.RecordError(f"{name}: non-finite parameter values")
         ps.tensor.data = arr.copy()
+    stats = []
     for key, low in (("norm_mean", -np.inf), ("norm_std", 0.0)):
         stat = np.array([float(v) for v in metadata[key].split(",")])
-        if not (np.isfinite(stat) & (stat > low)).all():
-            raise storage.RecordError(f"{key} must hold finite values > {low}, got {metadata[key]}")
-        setattr(model, key, stat)
+        if stat.shape != arch.input_shape[:1] or not (np.isfinite(stat) & (stat > low)).all():
+            raise storage.RecordError(f"{key} must hold one finite value > {low} per input "
+                                      f"channel ({arch.input_shape[0]}), got {metadata[key]}")
+        stats.append(stat)
+    model.freeze_normalization(*stats)
     model.val_accuracy = float(metadata["val_accuracy"]) if metadata["val_accuracy"] else None
     return model

@@ -7,6 +7,8 @@
 #
 # Runs, on this tree and on a git worktree of the base commit:
 #   - configs/small.ini: run-experiment, then compare-norms;
+#   - configs/default.ini: run-experiment, whose detectors are the only ones
+#     fitted on sets of 990 and 600 rows;
 #   - the benchmark's pipeline config on seed 1, through cli.run_experiment,
 #     as perfbench/child.py runs it.
 # Then it diffs the two output trees with diff -r, which names every file
@@ -24,6 +26,7 @@ run() {  # run <tree> <output dir>
   cd "$1"
   PYTHONPATH=src python3 -m gradgate run-experiment --config configs/small.ini --out "$2/small" > /dev/null
   PYTHONPATH=src python3 -m gradgate compare-norms --config configs/small.ini --out "$2/small" > /dev/null
+  PYTHONPATH=src python3 -m gradgate run-experiment --config configs/default.ini --out "$2/default" > /dev/null
   python3 perfbench/child.py fill 1 "$2/pipeline-seed1"
 }
 (run "$work/tree" "$work/base")

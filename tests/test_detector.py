@@ -20,7 +20,7 @@ from gradgate.detector import (
     ScoreError,
     ScoredSamples,
 )
-from gradgate.autodiff import Tensor, stable_sigmoid
+from gradgate.autodiff import stable_sigmoid
 from gradgate.gradfeat import FeatureSet
 from gradgate.nn import FORWARD_BLOCK, build_classifier, mlp
 
@@ -427,8 +427,8 @@ class TestDetectorTraining:
         train, val, _ = assemble_detection_sets(normal, anom, seed=1)
         d1 = train_detector(train, val, hidden=8, seed=4, max_epochs=30)
         d2 = train_detector(train, val, hidden=8, seed=4, max_epochs=30)
-        for p1, p2 in zip(d1.params, d2.params):
-            assert p1.data.tobytes() == p2.data.tobytes()
+        for p1, p2 in zip(d1.net.params, d2.net.params):
+            assert p1.tensor.data.tobytes() == p2.tensor.data.tobytes()
 
     def test_scores_in_open_unit_interval(self):
         normal, anom = separable_sets(seed=2)
@@ -444,27 +444,29 @@ class TestDetectorTraining:
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=10)
         raw = train.values[:5]
         direct = det.score(raw)
-        manual_logit = det.logit(det.standardize(raw), det.params).data[:, 0]
+        std = (raw - train.values.mean(axis=0)) / np.maximum(train.values.std(axis=0), 1e-12)
+        w1, b1, w2, b2 = (ps.tensor.data for ps in det.net.params)
+        manual_logit = (np.maximum(std @ w1 + b1, 0.0) @ w2 + b2)[:, 0]
         np.testing.assert_allclose(direct, 1.0 / (1.0 + np.exp(-manual_logit)), rtol=1e-12)
 
     def test_score_holds_parameters_constant(self):
         normal, anom = separable_sets(seed=5)
         train, val, _ = assemble_detection_sets(normal, anom, seed=5)
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=5)
-        std = det.standardize(val.values)
-        live = [Tensor(p.data, requires_grad=True) for p in det.params]  # as training builds it
-        const = det.logit(std, det.params)
+        std = det.rows(val.values)
+        live = det.net.trainable()  # as training builds it
+        const = det.net.forward(std)[0]
         assert not const.requires_grad
-        assert const.data.tobytes() == det.logit(std, live).data.tobytes()
+        assert const.data.tobytes() == live.forward(std)[0].data.tobytes()
         # score runs the training graph on FORWARD_BLOCK-row blocks, the last
         # one zero-padded
         assert len(std) > FORWARD_BLOCK and len(std) % FORWARD_BLOCK
         logits = []
         for start in range(0, len(std), FORWARD_BLOCK):
             rows = std[start:start + FORWARD_BLOCK]
-            block = np.zeros((FORWARD_BLOCK, std.shape[1]))
+            block = np.zeros((FORWARD_BLOCK,) + std.shape[1:])
             block[:len(rows)] = rows
-            logits.append(det.logit(block, live).data[:len(rows), 0])
+            logits.append(live.forward(block)[0].data[:len(rows), 0])
         want = stable_sigmoid(np.concatenate(logits))
         assert det.score(val.values).tobytes() == want.tobytes()
 

@@ -7,7 +7,7 @@ from gradgate import storage
 from gradgate.attacks import fgsm
 from gradgate.autodiff import Tensor, backward
 from gradgate.data import gen_glyphs, gen_ood
-from gradgate.detector import DetectorMLP, msp_scores, score
+from gradgate.detector import build_detector, msp_scores, score
 from gradgate.gradfeat import (
     CHUNK_SIZE,
     FEATURE_MAGIC,
@@ -268,7 +268,7 @@ class TestBatchInvariance:
         images = np.concatenate(list(stream_sources.values()))
         label = make_confounding_label(10)
         fs = extract_gradient_features(cnn, images, label)
-        det = DetectorMLP(fs.values, hidden=64, seed=1)
+        det = build_detector(fs.values, hidden=64, seed=1)
         return images, label, fs.values, det, score(det, fs).scores
 
     @pytest.mark.parametrize("size", [1, 2, 3, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 37])

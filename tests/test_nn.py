@@ -309,6 +309,8 @@ class TestCheckpoint:
         assert loaded.param_names() == model.param_names()
         for pa, pb in zip(model.params, loaded.params):
             assert pa.tensor.data.tobytes() == pb.tensor.data.tobytes()
+        x = np.random.default_rng(1).uniform(size=(5, 1, 8, 8))
+        assert loaded.logits(x).tobytes() == model.logits(x).tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model, path = self.make_model(tmp_path)
@@ -360,11 +362,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,bad", [
-        ("norm_mean", np.nan), ("norm_mean", -np.inf), ("norm_std", np.nan),
-        ("norm_std", np.inf), ("norm_std", 0.0), ("norm_std", -0.5)])
+        ("norm_mean", [np.nan]), ("norm_mean", [-np.inf]), ("norm_std", [np.nan]),
+        ("norm_std", [np.inf]), ("norm_std", [0.0]), ("norm_std", [-0.5]),
+        ("norm_mean", [0.5, 0.5, 0.5]), ("norm_std", [1.0, 1.0])])
     def test_bad_normalization_rejected(self, tmp_path, key, bad):
-        model, path = self.make_model(tmp_path)
-        getattr(model, key)[0] = bad
+        model, path = self.make_model(tmp_path)  # one input channel
+        setattr(model, key, np.array(bad))
         save_checkpoint(model, path)
         with pytest.raises(storage.RecordError, match=key):
             load_checkpoint(path)
