@@ -8,9 +8,9 @@ gradient. Nothing is mutated during backward, so parameter tensors can be
 shared read-only between graphs evaluated on different threads.
 
 All arithmetic is 64-bit. Broadcasting is deliberately restricted: the only
-implicit broadcast is a right operand whose shape equals the left operand's
-shape minus the leading batch axis (bias-add style). A plain python scalar
-is accepted only as :func:`mul`'s right operand.
+implicit broadcast is over the leading batch axis, of :func:`add`'s bias
+operand and of :func:`normalize`'s constants. A plain python scalar is
+accepted only as :func:`mul`'s right operand.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ class ShapeError(ValueError):
 
     def __init__(self, op: str, *shapes):
         super().__init__(f"{op}: incompatible shapes {', '.join(str(tuple(s)) for s in shapes)}")
-        self.op = op
-        self.shapes = tuple(tuple(s) for s in shapes)
 
 
 class GraphError(RuntimeError):
@@ -47,15 +45,9 @@ class Tensor:
         self._parents: tuple = ()
         self._vjp = None
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # Operator sugar; only mul takes a python scalar.
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -74,34 +66,18 @@ def _node(data, parents, vjp) -> Tensor:
     return out
 
 
-def _bias_broadcastable(a: Tensor, b: Tensor) -> bool:
-    return a.data.ndim >= 1 and b.data.shape == a.data.shape[1:]
-
-
 # ---------------------------------------------------------------------------
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     need_b = b.requires_grad
     if a.data.shape == b.data.shape:
         return _node(a.data + b.data, (a, b), lambda g: (g, g if need_b else None))
-    if _bias_broadcastable(a, b):
+    if a.data.ndim >= 1 and b.data.shape == a.data.shape[1:]:  # bias add
         return _node(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0) if need_b else None))
     raise ShapeError("add", a.data.shape, b.data.shape)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    need_b = b.requires_grad
-    if a.data.shape == b.data.shape:
-        return _node(a.data - b.data, (a, b), lambda g: (g, -g if need_b else None))
-    if _bias_broadcastable(a, b):
-        return _node(a.data - b.data, (a, b), lambda g: (g, -g.sum(axis=0) if need_b else None))
-    raise ShapeError("sub", a.data.shape, b.data.shape)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -111,15 +87,20 @@ def mul(a: Tensor, b) -> Tensor:
         return _node(a.data * s, (a,), lambda g: (g * s,))
     b = as_tensor(b)
     need_a, need_b = a.requires_grad, b.requires_grad
-    if a.data.shape == b.data.shape:
-        return _node(a.data * b.data, (a, b),
-                     lambda g: (g * b.data if need_a else None,
-                                g * a.data if need_b else None))
-    if _bias_broadcastable(a, b):
-        return _node(a.data * b.data, (a, b),
-                     lambda g: (g * b.data if need_a else None,
-                                (g * a.data).sum(axis=0) if need_b else None))
-    raise ShapeError("mul", a.data.shape, b.data.shape)
+    if a.data.shape != b.data.shape:
+        raise ShapeError("mul", a.data.shape, b.data.shape)
+    return _node(a.data * b.data, (a, b),
+                 lambda g: (g * b.data if need_a else None,
+                            g * a.data if need_b else None))
+
+
+def normalize(x: Tensor, shift: np.ndarray, scale: np.ndarray) -> Tensor:
+    """``(x - shift) * scale`` for constant ``shift`` and ``scale`` arrays
+    of x's shape minus the batch axis; the input gradient is ``g * scale``."""
+    x = as_tensor(x)
+    if x.data.shape[1:] != shift.shape or scale.shape != shift.shape:
+        raise ShapeError("normalize", x.data.shape, shift.shape, scale.shape)
+    return _node((x.data - shift) * scale, (x,), lambda g: (g * scale,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

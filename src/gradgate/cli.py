@@ -101,7 +101,7 @@ def _check_features(run, header: storage.Header, mode: str, tag: str) -> None:
 def detect_and_report(run, tag: str, method: str, normal, anomalous):
     """Split both sides 40/40/20 and score the held-out test part: by a
     detector trained on the rest, or, for MSP, by its one column."""
-    seed = child_seed(run.cfg.master_seed, f"detect:{tag}")
+    seed = run.detection_seeds[tag]
     train, val, test = detector.assemble_detection_sets(normal, anomalous, seed)
     if method == "msp":
         return detector.ScoredSamples(test.sample_ids, test.anomaly_labels, test.values[:, 0])
@@ -173,8 +173,7 @@ ARTIFACTS = {
                     detector.msp_scores(model, ds.images)[:, None], tag)),
     # the ids and labels every method at a tag scores; they follow from the sets' sizes
     "part": Kind(inputs=lambda run, tag: [], make=lambda run, tag: detector.detection_test_part(
-        [run.rows(t) for t in ("clean-test", tag)],
-        child_seed(run.cfg.master_seed, f"detect:{tag}"))),
+        [run.rows(t) for t in ("clean-test", tag)], run.detection_seeds[tag])),
     "scores": Kind(
         inputs=lambda run, tag, method: [("msp", t) if method == "msp" else ("features", method, t)
                                          for t in ("clean-test", tag)],
@@ -199,6 +198,8 @@ class Run:
         self.cfg, self.out, self.digest = cfg, out, cfg.digest()
         self.tags = tags = ["clean-test", *(f"adv-{kind}" for kind in cfg.attack_kinds),
                             *(f"ood-{kind}" for kind in cfg.ood_kinds)]
+        # the seed of each anomalous set's detection split, detectors and test "part"
+        self.detection_seeds = {t: child_seed(cfg.master_seed, f"detect:{t}") for t in tags[1:]}
         # every file node by kind, in the order a cold run makes them
         self.keys = {"classifier": [CLASSIFIER], "set": [("set", t) for t in tags],
                      "features": [("features", m, t) for m in gradfeat.FEATURE_MODES

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .attacks import ATTACK_KINDS, AttackConfig
-from .data import OOD_KINDS
+from .data import GLYPH_SIZE, OOD_KINDS
 from .gradfeat import ConfoundingLabel, make_confounding_label
 from .nn import ArchSpec, TrainConfig, mlp, small_cnn
 
@@ -121,7 +121,13 @@ class ExperimentConfig:
         self.train_config()
         for kind in self.attack_kinds:
             self.attack_config(kind)
-        self.confounding_label(self.arch_spec().num_classes)
+        arch = self.arch_spec()
+        self.confounding_label(arch.num_classes)
+        shape, glyph = arch.input_shape, (1, GLYPH_SIZE, GLYPH_SIZE)
+        fits = shape == glyph if self.dataset_kind == "glyphs" else len(shape) == 3 and shape[0] == 1
+        if not fits:
+            raise ValueError(f"arch input shape {shape} is not that of one {self.dataset_kind} "
+                             f"image: {glyph} for glyphs, (1, rows, cols) for idx")
         return self
 
     # -- structured views -------------------------------------------------

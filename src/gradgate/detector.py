@@ -199,10 +199,10 @@ class Detector:
     net: Classifier
 
     def rows(self, values: np.ndarray) -> np.ndarray:
-        """(n, d) feature values standardized, as (n, d, 1, 1) net inputs."""
+        """(n, d) feature values standardized: the net's input rows."""
         if values.shape[1] != len(self.mean):
             raise ValueError(f"feature dim {values.shape[1]} != detector dim {len(self.mean)}")
-        return ((values - self.mean) / self.std)[:, :, None, None]
+        return (values - self.mean) / self.std
 
     def score(self, values: np.ndarray) -> np.ndarray:
         """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
@@ -214,8 +214,7 @@ class Detector:
 def build_detector(train_values: np.ndarray, hidden: int, seed: int) -> Detector:
     """An untrained detector: one ReLU hidden layer of ``hidden`` units, its
     parameters drawn by :func:`~gradgate.nn.build_classifier`."""
-    d = train_values.shape[1]
-    arch = ArchSpec((d, 1, 1), (DenseLayer(hidden, "relu"), DenseLayer(1)), 1)
+    arch = ArchSpec(train_values.shape[1:], (DenseLayer(hidden, "relu"), DenseLayer(1)), 1)
     return Detector(train_values.mean(axis=0), np.maximum(train_values.std(axis=0), 1e-12),
                     build_classifier(arch, seed))
 

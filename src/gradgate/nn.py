@@ -14,13 +14,12 @@ import numpy as np
 
 from . import storage
 from .autodiff import (
-    ShapeError,
     Tensor,
-    as_tensor,
     backward,
     conv2d,
     matmul,
     maxpool2d,
+    normalize,
     relu,
     reshape,
     sgd_step,
@@ -75,7 +74,7 @@ class DenseLayer:
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Ordered layer descriptors plus input shape and class count."""
+    """Ordered layer descriptors, an input shape of (C, H, W) or (d,), and a class count."""
 
     input_shape: tuple
     layers: tuple
@@ -84,7 +83,7 @@ class ArchSpec:
     def validate(self) -> list:
         """Compose layer shapes; returns per-layer output shapes."""
         shape = tuple(self.input_shape)
-        if len(shape) != 3 or any(s <= 0 for s in shape):
+        if len(shape) not in (1, 3) or any(s <= 0 for s in shape):
             raise ArchError(-1, f"bad input shape {shape}")
         shapes = []
         for i, layer in enumerate(self.layers):
@@ -227,12 +226,13 @@ class Classifier:
 
     def freeze_normalization(self, mean, std) -> None:
         """Fix the per-channel input mean and std, and build once the
-        constant tensors every :meth:`forward` normalizes with."""
+        input-shaped shift and scale every :meth:`forward` normalizes with."""
         self.norm_mean = np.asarray(mean, dtype=np.float64)
         self.norm_std = np.asarray(std, dtype=np.float64)
         shape = self.arch.input_shape
-        self._shift = Tensor(np.broadcast_to(self.norm_mean[:, None, None], shape).copy())
-        self._scale = Tensor(np.broadcast_to((1.0 / self.norm_std)[:, None, None], shape).copy())
+        per_channel = (-1,) + (1,) * (len(shape) - 1)
+        self._shift = np.broadcast_to(self.norm_mean.reshape(per_channel), shape).copy()
+        self._scale = np.broadcast_to((1.0 / self.norm_std).reshape(per_channel), shape).copy()
 
     def set_normalization(self, images: np.ndarray) -> None:
         """Freeze per-channel mean/std computed over a training set."""
@@ -240,7 +240,8 @@ class Classifier:
                                   np.maximum(images.std(axis=(0, 2, 3)), 1e-8))
 
     def forward(self, x, taps: list | None = None):
-        """Map raw pixels in [0,1] to (logits, per-layer pre-activations).
+        """Map a batch of raw pixels in [0,1], or of feature rows, to (logits,
+        per-layer pre-activations); another input shape raises ShapeError.
 
         Normalization happens inside the graph, so gradients with respect to
         the raw pixels include the normalization Jacobian. Each layer runs
@@ -254,11 +255,7 @@ class Classifier:
         pass then yields the gradient at each pre-activation, from which
         per-example parameter gradients follow.
         """
-        t = as_tensor(x)
-        if t.data.ndim != 4 or t.data.shape[1:] != self.arch.input_shape:
-            raise ShapeError("forward", t.data.shape, ("batch",) + self.arch.input_shape)
-        batch = t.data.shape[0]
-        t = (t - self._shift) * self._scale
+        t = normalize(x, self._shift, self._scale)
 
         pres = []
         it = iter(self.params)
@@ -269,8 +266,8 @@ class Classifier:
                 pre = conv2d(t, weight, bias, stride=layer.stride, padding=layer.padding,
                              columns=columns)
             else:
-                if t.data.ndim == 4:  # the first dense layer flattens
-                    t = reshape(t, (batch, math.prod(t.data.shape[1:])))
+                if t.data.ndim > 2:  # the first dense layer flattens an image
+                    t = reshape(t, (len(t.data), math.prod(t.data.shape[1:])))
                 pre = matmul(t, weight) + bias
             if taps is not None:
                 if not pre.requires_grad:  # nothing upstream needs a gradient
@@ -421,17 +418,31 @@ def save_checkpoint(model: Classifier, path) -> None:
     storage.write_container(path, CHECKPOINT_MAGIC, metadata, records)
 
 
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
+
+
+# How load_checkpoint reads each metadata value; a ValueError marks a malformed one.
+_METADATA_PARSERS = {"arch": ArchSpec.from_string, "seed": int, "norm_mean": _floats,
+                     "norm_std": _floats, "val_accuracy": lambda v: float(v) if v else None}
+
+
 def load_checkpoint(path) -> Classifier:
-    """Rebuild a classifier bit-exactly; rejects missing metadata keys,
+    """Rebuild a classifier bit-exactly; rejects missing or malformed metadata,
     records whose names or shapes disagree with the stored architecture,
     non-finite parameters, and normalization stats that do not hold one
     value per input channel, are non-finite or, for the std, are not > 0."""
     metadata, records = storage.read_container(path, CHECKPOINT_MAGIC)
-    for key in ("arch", "seed", "norm_mean", "norm_std", "val_accuracy"):
+    meta = {}
+    for key, parse in _METADATA_PARSERS.items():
         if key not in metadata:
-            raise storage.RecordError(f"checkpoint metadata lacks {key!r}")
-    arch = ArchSpec.from_string(metadata["arch"])
-    model = build_classifier(arch, seed=int(metadata["seed"]))
+            raise storage.RecordError(f"{path}: checkpoint metadata lacks {key!r}")
+        try:
+            meta[key] = parse(metadata[key])
+        except ValueError as exc:
+            raise storage.RecordError(f"{path}: checkpoint metadata {key!r} = "
+                                      f"{metadata[key]!r}: {exc}") from None
+    model = build_classifier(meta["arch"], seed=meta["seed"])
     if len(records) != len(model.params):
         raise storage.RecordError(
             f"expected {len(model.params)} parameter records, found {len(records)}")
@@ -444,13 +455,11 @@ def load_checkpoint(path) -> Classifier:
         if not np.isfinite(arr).all():
             raise storage.RecordError(f"{name}: non-finite parameter values")
         ps.tensor.data = arr.copy()
-    stats = []
     for key, low in (("norm_mean", -np.inf), ("norm_std", 0.0)):
-        stat = np.array([float(v) for v in metadata[key].split(",")])
-        if stat.shape != arch.input_shape[:1] or not (np.isfinite(stat) & (stat > low)).all():
+        stat = meta[key]
+        if stat.shape != model.arch.input_shape[:1] or not (np.isfinite(stat) & (stat > low)).all():
             raise storage.RecordError(f"{key} must hold one finite value > {low} per input "
-                                      f"channel ({arch.input_shape[0]}), got {metadata[key]}")
-        stats.append(stat)
-    model.freeze_normalization(*stats)
-    model.val_accuracy = float(metadata["val_accuracy"]) if metadata["val_accuracy"] else None
+                                      f"channel ({model.arch.input_shape[0]}), got {metadata[key]}")
+    model.freeze_normalization(meta["norm_mean"], meta["norm_std"])
+    model.val_accuracy = meta["val_accuracy"]
     return model

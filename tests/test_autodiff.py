@@ -14,6 +14,7 @@ from gradgate.autodiff import (
     cw_hinge,
     matmul,
     maxpool2d,
+    normalize,
     relu,
     sgd_step,
     softmax_cross_entropy,
@@ -370,8 +371,8 @@ class TestGradientSkipping:
         grad_matches_fd(lambda: softmax_cross_entropy(matmul(x, w) + b, t),
                         [p for p in (x, w, b) if p.requires_grad], self.rng)
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
-    @pytest.mark.parametrize("right_shape", [(4, 3), (3,)])  # same shape, bias broadcast
+    @pytest.mark.parametrize("op,right_shape", [(ad.add, (4, 3)), (ad.add, (3,)),  # bias add
+                                                (ad.mul, (4, 3))])
     def test_constant_right_operand_gets_no_gradient(self, op, right_shape):
         a, b = self.leaves([(4, 3), right_shape], (True, False))
         out = op(a, b)
@@ -379,13 +380,47 @@ class TestGradientSkipping:
         assert da is not None and db is None
         grad_matches_fd(lambda: sum_of_squares(op(a, b)), [a], self.rng)
 
-    @pytest.mark.parametrize("right_shape", [(4, 3), (3,)])
-    def test_mul_constant_left_operand_gets_no_gradient(self, right_shape):
-        a, b = self.leaves([(4, 3), right_shape], (False, True))
+    def test_mul_constant_left_operand_gets_no_gradient(self):
+        a, b = self.leaves([(4, 3), (4, 3)], (False, True))
         out = a * b
         da, db = out._vjp(np.ones(out.data.shape))
         assert da is None and db is not None
         grad_matches_fd(lambda: sum_of_squares(a * b), [b], self.rng)
+
+
+class TestNormalize:
+    """normalize is (x - shift) * scale over the batch axis, with the input
+    gradient g * scale; shift and scale are constants."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(31)
+        self.shift = self.rng.uniform(-0.5, 0.5, size=(2, 3, 3))
+        self.scale = self.rng.uniform(0.5, 4.0, size=(2, 3, 3))
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, batch_innermost])
+    def test_bytes_equal_numpy(self, layout):
+        x = layout(self.rng.standard_normal((5, 2, 3, 3)))
+        out = normalize(Tensor(x), self.shift, self.scale)
+        assert out.data.tobytes() == ((x - self.shift) * self.scale).tobytes()
+
+    def test_gradient_matches_finite_differences(self):
+        x = Tensor(self.rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        grad_matches_fd(lambda: sum_of_squares(normalize(x, self.shift, self.scale)), [x],
+                        self.rng)
+        g = self.rng.standard_normal((4, 2, 3, 3))
+        dx = backward(tsum(normalize(x, self.shift, self.scale) * Tensor(g)))[x]
+        assert dx.tobytes() == (g * self.scale).tobytes()
+
+    @pytest.mark.parametrize("x_shape,scale_shape", [((4, 2, 3, 2), (2, 3, 3)),
+                                                     ((2, 3, 3), (2, 3, 3)),
+                                                     ((4, 2, 3, 3), (2, 3, 1))])
+    def test_shape_mismatch_names_op(self, x_shape, scale_shape):
+        with pytest.raises(ShapeError, match="normalize"):
+            normalize(Tensor(np.ones(x_shape)), self.shift, np.ones(scale_shape))
+
+    def test_constant_input_records_no_vjp(self):
+        out = normalize(Tensor(np.ones((4, 2, 3, 3))), self.shift, self.scale)
+        assert not out.requires_grad and out._vjp is None and out._parents == ()
 
 
 class TestMaxpoolReshape:
@@ -496,15 +531,16 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match="matmul"):
             matmul(Tensor(np.ones((4, 1, 3))), Tensor(np.ones((3, 2))))
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
-    def test_bias_broadcasts_over_the_batch_axis_only(self, op):
+    @pytest.mark.parametrize("op,left_shape", [  # and only add broadcasts a bias
+        pytest.param(ad.add, (2, 4, 3), id="add"), pytest.param(ad.mul, (2, 4, 3), id="mul"),
+        pytest.param(ad.mul, (4, 3), id="mul-bias")])
+    def test_bias_broadcasts_over_the_batch_axis_only(self, op, left_shape):
         with pytest.raises(ShapeError, match=op.__name__):
-            op(Tensor(np.ones((2, 4, 3))), Tensor(np.ones(3)))
+            op(Tensor(np.ones(left_shape)), Tensor(np.ones(3)))
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub])
-    def test_python_scalar_is_only_a_mul_operand(self, op):
-        with pytest.raises(ShapeError, match=op.__name__):
-            op(Tensor(np.ones((2, 3))), 0.5)
+    def test_python_scalar_is_only_a_mul_operand(self):
+        with pytest.raises(ShapeError, match="add"):
+            ad.add(Tensor(np.ones((2, 3))), 0.5)
         assert np.array_equal(ad.mul(Tensor(np.ones((2, 3))), 0.5).data, np.full((2, 3), 0.5))
 
     def test_conv_channel_mismatch(self):
@@ -682,15 +718,16 @@ class TestPoolThenRelu:
 
     @staticmethod
     def graphs(order):
-        # a parameter of +-1 per channel scales x exactly, -0.0 included
-        # (a conv's GEMM would turn -0.0 into +0.0)
+        # a parameter of +-1 per channel, stored per element, scales x
+        # exactly, -0.0 included (a conv's GEMM would turn -0.0 into +0.0)
         rng = np.random.default_rng(70)
         arr = rng.choice(np.array([-0.0, 0.0, -1.5, -0.5, 0.5, 2.0]), size=(3, 2, 6, 6))
         arr[0, 0, :2, :2] = -0.0  # all -0.0
         arr[0, 0, :2, 2:4] = [[-1.0, -2.0], [-3.0, -1.0]]  # all negative, tied
         arr[0, 0, :2, 4:] = [[2.0, 2.0], [2.0, -1.0]]  # positive ties
         x = Tensor(arr, requires_grad=True)
-        w = Tensor(np.stack([np.ones((6, 6)), -np.ones((6, 6))]), requires_grad=True)
+        w = Tensor(np.broadcast_to(np.stack([np.ones((6, 6)), -np.ones((6, 6))]), arr.shape),
+                   requires_grad=True)
         pre = x * w
         out = relu(maxpool2d(pre, 2)) if order == "pool-relu" else maxpool2d(relu(pre), 2)
         g = rng.standard_normal(out.data.shape)

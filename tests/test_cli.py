@@ -132,6 +132,26 @@ class TestConfig:
         assert digest("all-ones", 2) == digest("all-ones", 3) == digest("all-ones", 0)
         assert digest("k-hot", 2) != digest("k-hot", 3)
 
+    @pytest.mark.parametrize("overrides", [
+        {"arch": "in:3:16:16|dense:10:none|classes:10"},
+        {"arch": "in:256|dense:10:none|classes:10"},
+        {"arch": "in:1:8:8|dense:10:none|classes:10"},
+        {"arch": "in:3:28:28|dense:10:none|classes:10", "dataset_kind": "idx",
+         "idx_images": "images.idx", "idx_labels": "labels.idx"},
+        {"arch": "in:784|dense:10:none|classes:10", "dataset_kind": "idx",
+         "idx_images": "images.idx", "idx_labels": "labels.idx"}])
+    def test_arch_input_shape_other_than_the_images_rejected(self, tiny_config, overrides):
+        path, _ = tiny_config
+        with pytest.raises(ValueError, match="arch input shape"):
+            ExperimentConfig.from_file(path, overrides=overrides)
+
+    def test_idx_arch_of_one_channel_accepted(self, tiny_config):
+        path, _ = tiny_config
+        cfg = ExperimentConfig.from_file(path, overrides={
+            "arch": "in:1:28:28|dense:10:none|classes:10", "dataset_kind": "idx",
+            "idx_images": "images.idx", "idx_labels": "labels.idx"})
+        assert cfg.arch_spec().input_shape == (1, 28, 28)
+
     def test_unknown_override_key_rejected(self, tiny_config):
         path, _ = tiny_config
         with pytest.raises(ValueError, match="unknown key 'atack_count'"):

@@ -477,6 +477,16 @@ class TestDetectorTraining:
         with pytest.raises(ValueError):
             det.score(np.zeros((3, 7)))
 
+    def test_net_is_a_dense_classifier_on_standardized_rows(self):
+        normal, anom = separable_sets(seed=6)
+        train, val, _ = assemble_detection_sets(normal, anom, seed=6)
+        det = train_detector(train, val, hidden=8, seed=0, max_epochs=2)
+        d = train.dim
+        assert det.net.arch.to_string() == f"in:{d}|dense:8:relu|dense:1:none|classes:1"
+        rows = det.rows(val.values)
+        assert rows.shape == (len(val), d)
+        assert rows.tobytes() == ((val.values - det.mean) / det.std).tobytes()
+
 
 class TestScoreFile:
     def test_round_trip(self, tmp_path):

@@ -46,11 +46,12 @@ from gradgate.nn import (
 
 def relu_then_pool_logits(model, x):
     """The forward pass with each conv layer's relu before its pool, as the
-    classifier ran it before it pooled first."""
-    c, h, w = model.arch.input_shape
-    mean = np.broadcast_to(model.norm_mean[:, None, None], (c, h, w)).copy()
-    inv_std = np.broadcast_to((1.0 / model.norm_std)[:, None, None], (c, h, w)).copy()
-    t = (x - Tensor(mean)) * Tensor(inv_std)
+    classifier ran it before it pooled first. It normalizes the (B, C, H, W)
+    input Tensor ``x`` with add and mul on constants of x's full shape, not
+    with ``normalize``: ``x + (-mean)`` is ``x - mean`` exactly."""
+    neg_mean = np.broadcast_to(-model.norm_mean[:, None, None], x.data.shape).copy()
+    inv_std = np.broadcast_to((1.0 / model.norm_std)[:, None, None], x.data.shape).copy()
+    t = (x + Tensor(neg_mean)) * Tensor(inv_std)
     it = iter(model.params)
     for layer in model.arch.layers:
         weight, bias = next(it).tensor, next(it).tensor
@@ -140,6 +141,24 @@ class TestBuild:
         arch = small_cnn(num_classes=7, input_shape=(1, 12, 12))
         assert ArchSpec.from_string(arch.to_string()) == arch
 
+    def test_row_input_arch_string_round_trip(self):
+        text = "in:5|dense:3:relu|dense:1:none|classes:1"
+        arch = ArchSpec.from_string(text)
+        assert arch.input_shape == (5,) and arch.to_string() == text
+        assert arch.validate() == [(3,), (1,)]
+
+    def test_conv_on_row_input_rejected(self):
+        with pytest.raises(ArchError, match="conv after flatten") as exc:
+            ArchSpec((5,), (ConvLayer(4, 3), DenseLayer(1)), 1).validate()
+        assert exc.value.index == 0
+        with pytest.raises(ValueError, match="conv after flatten"):
+            ArchSpec.from_string("in:5|conv:4:3:1:1:relu:0|dense:1:none|classes:1")
+
+    @pytest.mark.parametrize("shape", [(), (4, 4), (1, 1, 4, 4), (0,), (1, 0, 4)])
+    def test_input_shape_of_other_rank_or_a_zero_side_rejected(self, shape):
+        with pytest.raises(ArchError, match="bad input shape"):
+            ArchSpec(shape, (DenseLayer(1),), 1).validate()
+
     @pytest.mark.parametrize("part", ["conv:8:3", "dense:10", "conv:8:3:1:1:relu:2:junk",
                                       "dense:10:none:1", "classes:10:9"])
     def test_arch_part_with_wrong_field_count_rejected(self, part):
@@ -220,6 +239,18 @@ class TestForward:
         model = build_classifier(small_cnn(), seed=0)
         with pytest.raises(ShapeError):
             model.forward(np.zeros((1, 1, 8, 8)))
+
+    def test_row_input_takes_rows_without_a_flatten(self):
+        # the logits equal those of the same parameters on (n, d, 1, 1) images
+        rows = build_classifier(mlp(num_classes=3, input_shape=(6,), hidden=4), seed=5)
+        images = build_classifier(mlp(num_classes=3, input_shape=(6, 1, 1), hidden=4), seed=5)
+        x = np.random.default_rng(6).standard_normal((7, 6))
+        logits, pres = rows.forward(x)
+        assert logits.data.tobytes() == images.forward(x[:, :, None, None])[0].data.tobytes()
+        assert [p.data.shape for p in pres] == [(7, 4), (7, 3)]
+        for bad in (x[:, :, None, None], x[0], x[:, :5]):
+            with pytest.raises(ShapeError, match="normalize"):
+                rows.forward(bad)
 
 
 class TestTraining:
@@ -370,6 +401,18 @@ class TestCheckpoint:
         setattr(model, key, np.array(bad))
         save_checkpoint(model, path)
         with pytest.raises(storage.RecordError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("arch", "in:1:8:8|classes:4"), ("seed", "1.5"), ("seed", ""), ("norm_mean", ""),
+        ("norm_mean", "0.5,"), ("norm_std", "x"), ("val_accuracy", "abc")])
+    def test_malformed_metadata_value_rejected_naming_file_and_key(self, tmp_path, key, value):
+        _, path = self.make_model(tmp_path)
+        meta, records = storage.read_container(path, b"GGATE")
+        meta[key] = value
+        storage.write_container(path, b"GGATE", meta, records)
+        with pytest.raises(storage.RecordError,
+                           match=f"{re.escape(str(path))}: checkpoint metadata '{key}' = "):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["arch", "seed", "norm_mean", "norm_std", "val_accuracy"])
