@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .attacks import ATTACK_KINDS, AttackConfig
-from .data import GLYPH_SIZE, OOD_KINDS
+from .data import GLYPH_SIZE, OOD_KINDS, DataError, idx_image_header
 from .gradfeat import ConfoundingLabel, make_confounding_label
 from .nn import ArchSpec, TrainConfig, mlp, small_cnn
 
@@ -123,11 +123,15 @@ class ExperimentConfig:
             self.attack_config(kind)
         arch = self.arch_spec()
         self.confounding_label(arch.num_classes)
-        shape, glyph = arch.input_shape, (1, GLYPH_SIZE, GLYPH_SIZE)
-        fits = shape == glyph if self.dataset_kind == "glyphs" else len(shape) == 3 and shape[0] == 1
-        if not fits:
-            raise ValueError(f"arch input shape {shape} is not that of one {self.dataset_kind} "
-                             f"image: {glyph} for glyphs, (1, rows, cols) for idx")
+        image, source = (1, GLYPH_SIZE, GLYPH_SIZE), "one glyph"
+        if self.dataset_kind == "idx":
+            try:
+                image = (1,) + idx_image_header(self.idx_images)[1:]
+            except (OSError, DataError) as exc:
+                raise ValueError(f"idx_images {self.idx_images}: {exc}") from None
+            source = f"one image of {self.idx_images}"
+        if arch.input_shape != image:
+            raise ValueError(f"arch input shape {arch.input_shape} is not {image}, that of {source}")
         return self
 
     # -- structured views -------------------------------------------------

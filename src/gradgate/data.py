@@ -160,20 +160,26 @@ def gen_ood(kind: str, count: int, seed: int,
     return Dataset(images, labels, source_tag=f"ood-{kind}", seed=seed)
 
 
+def idx_image_header(images_path) -> tuple:
+    """(count, rows, cols) from the 16-byte header of an IDX image file."""
+    with open(images_path, "rb") as fh:
+        head = fh.read(16)
+    if len(head) < 16:
+        raise IdxDimensionError("image file shorter than its header")
+    magic, n, rows, cols = struct.unpack(">IIII", head)
+    if magic != IDX_IMAGES_MAGIC:
+        raise IdxMagicError(f"image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+    return n, rows, cols
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse the big-endian IDX pair used by digit datasets; pixels are
     scaled from [0, 255] to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise IdxDimensionError("image file shorter than its header")
-    magic, n, rows, cols = struct.unpack(">IIII", blob[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxMagicError(f"image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    expected = 16 + n * rows * cols
-    if len(blob) != expected:
-        raise IdxDimensionError(f"image payload {len(blob) - 16} bytes, expected {n * rows * cols}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols)
+    n, rows, cols = idx_image_header(images_path)
+    pixels = np.fromfile(images_path, dtype=np.uint8, offset=16)
+    if len(pixels) != n * rows * cols:
+        raise IdxDimensionError(f"image payload {len(pixels)} bytes, expected {n * rows * cols}")
+    pixels = pixels.reshape(n, 1, rows, cols)
 
     with open(labels_path, "rb") as fh:
         lblob = fh.read()

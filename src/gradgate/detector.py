@@ -2,10 +2,10 @@
 
 The detector is a dense-only :class:`~gradgate.nn.Classifier` (one ReLU
 hidden layer, one logit whose sigmoid is the score) trained with SGD on
-binary cross-entropy; anomalous inputs are the positive class. Features are
-standardized with train-split statistics that freeze at fit time. The
-max-softmax-probability baseline scores inputs straight from the classifier
-with no training.
+binary cross-entropy; anomalous inputs are the positive class. Its
+in-graph normalization standardizes features with the train split's
+statistics, frozen when the detector is built. The max-softmax-probability
+baseline scores inputs straight from the classifier with no training.
 """
 
 from __future__ import annotations
@@ -189,34 +189,22 @@ def detection_test_part(sizes, seed: int) -> tuple:
 # detector
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Detector:
-    """A one-logit dense classifier on feature values standardized, outside
-    its graph, with the mean and std of the train values it was built from."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    net: Classifier
-
-    def rows(self, values: np.ndarray) -> np.ndarray:
-        """(n, d) feature values standardized: the net's input rows."""
-        if values.shape[1] != len(self.mean):
-            raise ValueError(f"feature dim {values.shape[1]} != detector dim {len(self.mean)}")
-        return (values - self.mean) / self.std
-
-    def score(self, values: np.ndarray) -> np.ndarray:
-        """Sigmoid anomaly scores; mathematically in (0, 1), saturating to
-        the endpoints only when a logit exceeds float64 resolution. A row's
-        score does not depend on the rows scored with it (see ``net.logits``)."""
-        return stable_sigmoid(self.net.logits(self.rows(values))[:, 0])
-
-
-def build_detector(train_values: np.ndarray, hidden: int, seed: int) -> Detector:
-    """An untrained detector: one ReLU hidden layer of ``hidden`` units, its
-    parameters drawn by :func:`~gradgate.nn.build_classifier`."""
+def build_detector(train_values: np.ndarray, hidden: int, seed: int) -> Classifier:
+    """An untrained detector: a one-logit dense classifier with one ReLU
+    hidden layer of ``hidden`` units, drawn by :func:`~gradgate.nn.build_classifier`,
+    that standardizes its rows in its graph with ``train_values``' mean and std."""
     arch = ArchSpec(train_values.shape[1:], (DenseLayer(hidden, "relu"), DenseLayer(1)), 1)
-    return Detector(train_values.mean(axis=0), np.maximum(train_values.std(axis=0), 1e-12),
-                    build_classifier(arch, seed))
+    det = build_classifier(arch, seed)
+    det.set_normalization(train_values)
+    return det
+
+
+def _scores(det: Classifier, values: np.ndarray) -> np.ndarray:
+    """Sigmoid anomaly scores of (n, d) feature rows; mathematically in
+    (0, 1), saturating to the endpoints only when a logit exceeds float64
+    resolution. A row's score does not depend on the rows scored with it
+    (see ``Classifier.logits``)."""
+    return stable_sigmoid(det.logits(values)[:, 0])
 
 
 MOMENTUM = 0.9
@@ -224,7 +212,7 @@ MOMENTUM = 0.9
 
 def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: int = 0,
                    learning_rate: float = 0.05, batch_size: int = 32, max_epochs: int = 200,
-                   patience: int = 10) -> Detector:
+                   patience: int = 10) -> Classifier:
     """SGD with momentum ``MOMENTUM`` on binary cross-entropy, with early
     stopping on validation AUROC.
 
@@ -234,17 +222,16 @@ def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: i
     if train.dim != val.dim:
         raise ValueError(f"train dim {train.dim} != val dim {val.dim}")
     det = build_detector(train.values, hidden, seed)
-    x = det.rows(train.values)
-    y = train.anomaly_labels.astype(np.float64)[:, None]
-    live = det.net.trainable()
-    params = [ps.tensor for ps in live.params]  # over det.net's arrays until the restore below
+    x, y = train.values, train.anomaly_labels.astype(np.float64)[:, None]
+    live = det.trainable()
+    params = [ps.tensor for ps in live.params]  # over det's arrays until the restore below
     best_auroc = -1.0
     best = [p.data.copy() for p in params]
     stale = 0
     for _ in sgd_epochs(params, lambda idx: bce_with_logits(live.forward(x[idx])[0], y[idx]),
                         len(train), batch_size, np.random.SeedSequence(entropy=(seed, 2)),
                         max_epochs, lr=learning_rate, momentum=MOMENTUM, weight_decay=0.0):
-        val_auroc = auroc(val.anomaly_labels, det.score(val.values))
+        val_auroc = auroc(val.anomaly_labels, _scores(det, val.values))
         if val_auroc > best_auroc + 1e-12:
             best_auroc = val_auroc
             best = [p.data.copy() for p in params]
@@ -253,13 +240,13 @@ def train_detector(train: FeatureSet, val: FeatureSet, hidden: int = 64, seed: i
             stale += 1
             if stale >= patience:
                 break
-    for ps, data in zip(det.net.params, best):
+    for ps, data in zip(det.params, best):
         ps.tensor.data = data
     return det
 
 
-def score(det: Detector, fs: FeatureSet) -> ScoredSamples:
-    return ScoredSamples(fs.sample_ids.copy(), fs.anomaly_labels.copy(), det.score(fs.values))
+def score(det: Classifier, fs: FeatureSet) -> ScoredSamples:
+    return ScoredSamples(fs.sample_ids.copy(), fs.anomaly_labels.copy(), _scores(det, fs.values))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import storage
-from .autodiff import Tensor, as_tensor, backward, bce_with_logits
+from .autodiff import ShapeError, Tensor, as_tensor, backward, bce_with_logits
 from .nn import FORWARD_BLOCK, map_blocks
 
 UNLABELED = -1
@@ -79,17 +79,15 @@ def make_confounding_label(num_classes: int, kind: str = "all-ones",
     raise ValueError(f"unknown confounding label kind {kind!r}")
 
 
-def bce_confounding_loss(logits, label) -> Tensor:
-    """Mean binary cross-entropy between sigmoid(logits) and the label.
-
-    Accepts (N,) or (batch, N) logits; evaluated in saturating form, so
-    finite logits never produce a non-finite loss.
-    """
+def bce_confounding_loss(logits, label: ConfoundingLabel) -> Tensor:
+    """Mean binary cross-entropy between sigmoid((B, N) logits) and the
+    label, which each row takes; evaluated in saturating form, so finite
+    logits never produce a non-finite loss. Raises ShapeError unless N is
+    the label's class count."""
     t = as_tensor(logits)
-    vec = label.vector if isinstance(label, ConfoundingLabel) else np.asarray(label, dtype=np.float64)
-    # each row of a (batch, N) matrix takes the label; the op reports a mismatch
-    targets = np.broadcast_to(vec, t.data.shape) if t.data.ndim == 2 else vec
-    return bce_with_logits(t, targets)
+    if t.data.ndim != 2 or t.data.shape[1] != len(label.vector):
+        raise ShapeError("bce_confounding_loss", t.data.shape, label.vector.shape)
+    return bce_with_logits(t, np.broadcast_to(label.vector, t.data.shape))
 
 
 @dataclass

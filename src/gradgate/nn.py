@@ -1,4 +1,4 @@
-"""Small image classifiers built on the autodiff engine.
+"""Small classifiers, of images or of feature rows, built on the autodiff engine.
 
 Architectures are declarative layer lists that compile to parameter sets
 in a fixed order; the order is part of the checkpoint contract because
@@ -234,10 +234,11 @@ class Classifier:
         self._shift = np.broadcast_to(self.norm_mean.reshape(per_channel), shape).copy()
         self._scale = np.broadcast_to((1.0 / self.norm_std).reshape(per_channel), shape).copy()
 
-    def set_normalization(self, images: np.ndarray) -> None:
-        """Freeze per-channel mean/std computed over a training set."""
-        self.freeze_normalization(images.mean(axis=(0, 2, 3)),
-                                  np.maximum(images.std(axis=(0, 2, 3)), 1e-8))
+    def set_normalization(self, x: np.ndarray) -> None:
+        """Freeze the mean and std (floored at 1e-8) of each input channel,
+        axis 1, over a training set of images or of (n, d) feature rows."""
+        axes = (0,) + tuple(range(2, x.ndim))
+        self.freeze_normalization(x.mean(axis=axes), np.maximum(x.std(axis=axes), 1e-8))
 
     def forward(self, x, taps: list | None = None):
         """Map a batch of raw pixels in [0,1], or of feature rows, to (logits,

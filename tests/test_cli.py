@@ -132,6 +132,14 @@ class TestConfig:
         assert digest("all-ones", 2) == digest("all-ones", 3) == digest("all-ones", 0)
         assert digest("k-hot", 2) != digest("k-hot", 3)
 
+    @pytest.fixture
+    def idx_pair(self, tmp_path, monkeypatch):
+        """A 28x28 IDX pair of two blank images, as images.idx and labels.idx
+        in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        Path("images.idx").write_bytes(struct.pack(">IIII", 0x803, 2, 28, 28) + bytes(2 * 784))
+        Path("labels.idx").write_bytes(struct.pack(">II", 0x801, 2) + bytes(2))
+
     @pytest.mark.parametrize("overrides", [
         {"arch": "in:3:16:16|dense:10:none|classes:10"},
         {"arch": "in:256|dense:10:none|classes:10"},
@@ -139,18 +147,41 @@ class TestConfig:
         {"arch": "in:3:28:28|dense:10:none|classes:10", "dataset_kind": "idx",
          "idx_images": "images.idx", "idx_labels": "labels.idx"},
         {"arch": "in:784|dense:10:none|classes:10", "dataset_kind": "idx",
+         "idx_images": "images.idx", "idx_labels": "labels.idx"},
+        {"arch": "smallcnn", "dataset_kind": "idx",
          "idx_images": "images.idx", "idx_labels": "labels.idx"}])
-    def test_arch_input_shape_other_than_the_images_rejected(self, tiny_config, overrides):
+    def test_arch_input_shape_other_than_the_images_rejected(self, tiny_config, idx_pair,
+                                                             overrides):
         path, _ = tiny_config
         with pytest.raises(ValueError, match="arch input shape"):
             ExperimentConfig.from_file(path, overrides=overrides)
 
-    def test_idx_arch_of_one_channel_accepted(self, tiny_config):
+    def test_idx_arch_of_one_channel_accepted(self, tiny_config, idx_pair):
         path, _ = tiny_config
         cfg = ExperimentConfig.from_file(path, overrides={
             "arch": "in:1:28:28|dense:10:none|classes:10", "dataset_kind": "idx",
             "idx_images": "images.idx", "idx_labels": "labels.idx"})
         assert cfg.arch_spec().input_shape == (1, 28, 28)
+
+    def test_idx_image_size_other_than_the_arch_input_named(self, tiny_config, idx_pair):
+        path, _ = tiny_config
+        with pytest.raises(ValueError, match=r"arch input shape \(1, 16, 16\) is not "
+                                             r"\(1, 28, 28\), that of one image of "
+                                             r"images\.idx"):
+            ExperimentConfig.from_file(path, overrides={
+                "dataset_kind": "idx", "idx_images": "images.idx", "idx_labels": "labels.idx"})
+
+    @pytest.mark.parametrize("blob", [None, b"", struct.pack(">III", 0x803, 2, 28),
+                                      struct.pack(">IIII", 0x801, 2, 28, 28)])
+    def test_missing_short_or_other_idx_image_file_rejected(self, tiny_config, tmp_path, blob):
+        path, _ = tiny_config
+        images = tmp_path / "images.idx"
+        if blob is not None:
+            images.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^idx_images {images}: "):
+            ExperimentConfig.from_file(path, overrides={
+                "arch": "in:1:28:28|dense:10:none|classes:10", "dataset_kind": "idx",
+                "idx_images": str(images), "idx_labels": str(tmp_path / "labels.idx")})
 
     def test_unknown_override_key_rejected(self, tiny_config):
         path, _ = tiny_config

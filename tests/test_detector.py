@@ -7,6 +7,7 @@ from gradgate.detector import (
     DETECTION_FRACTIONS,
     SCORE_MAGIC,
     assemble_detection_sets,
+    build_detector,
     detection_test_part,
     aupr,
     auroc,
@@ -20,9 +21,9 @@ from gradgate.detector import (
     ScoreError,
     ScoredSamples,
 )
-from gradgate.autodiff import stable_sigmoid
-from gradgate.gradfeat import FeatureSet
-from gradgate.nn import FORWARD_BLOCK, build_classifier, mlp
+from gradgate.autodiff import ShapeError, stable_sigmoid
+from gradgate.gradfeat import FeatureSet, concat_features
+from gradgate.nn import FORWARD_BLOCK, Classifier, build_classifier, mlp
 
 
 def auroc_pairwise_oracle(labels, scores):
@@ -407,7 +408,7 @@ class TestDetectorTraining:
         normal, anom = separable_sets(seed=0, margin=6.0)
         train, val, test = assemble_detection_sets(normal, anom, seed=0)
         det = train_detector(train, val, hidden=16, seed=0)
-        assert auroc(val.anomaly_labels, det.score(val.values)) == 1.0
+        assert auroc(val.anomaly_labels, score(det, val).scores) == 1.0
         scored = score(det, test)
         assert evaluate(scored)["auroc"] == 1.0
 
@@ -419,7 +420,7 @@ class TestDetectorTraining:
             normal, anom = separable_sets(seed=seed, margin=0.0)  # no signal
             train, val, _ = assemble_detection_sets(normal, anom, seed=seed)
             det = train_detector(train, val, hidden=8, seed=seed, max_epochs=40)
-            aurocs.append(auroc(val.anomaly_labels, det.score(val.values)))
+            aurocs.append(auroc(val.anomaly_labels, score(det, val).scores))
         assert 0.35 < float(np.mean(aurocs)) < 0.65
 
     def test_same_seed_identical_detector(self):
@@ -427,25 +428,25 @@ class TestDetectorTraining:
         train, val, _ = assemble_detection_sets(normal, anom, seed=1)
         d1 = train_detector(train, val, hidden=8, seed=4, max_epochs=30)
         d2 = train_detector(train, val, hidden=8, seed=4, max_epochs=30)
-        for p1, p2 in zip(d1.net.params, d2.net.params):
+        for p1, p2 in zip(d1.params, d2.params):
             assert p1.tensor.data.tobytes() == p2.tensor.data.tobytes()
 
     def test_scores_in_open_unit_interval(self):
         normal, anom = separable_sets(seed=2)
         train, val, _ = assemble_detection_sets(normal, anom, seed=2)
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=20)
-        s = det.score(np.vstack([normal.values, anom.values]))
+        s = score(det, concat_features([normal, anom])).scores
         assert np.all((s > 0.0) & (s < 1.0))
-        assert np.array_equal(det.score(normal.values), det.score(normal.values))
+        assert np.array_equal(score(det, normal).scores, score(det, normal).scores)
 
     def test_standardization_applied(self):
         normal, anom = separable_sets(seed=3)
         train, val, _ = assemble_detection_sets(normal, anom, seed=3)
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=10)
         raw = train.values[:5]
-        direct = det.score(raw)
-        std = (raw - train.values.mean(axis=0)) / np.maximum(train.values.std(axis=0), 1e-12)
-        w1, b1, w2, b2 = (ps.tensor.data for ps in det.net.params)
+        direct = score(det, train.subset(range(5))).scores
+        std = (raw - train.values.mean(axis=0)) / np.maximum(train.values.std(axis=0), 1e-8)
+        w1, b1, w2, b2 = (ps.tensor.data for ps in det.params)
         manual_logit = (np.maximum(std @ w1 + b1, 0.0) @ w2 + b2)[:, 0]
         np.testing.assert_allclose(direct, 1.0 / (1.0 + np.exp(-manual_logit)), rtol=1e-12)
 
@@ -453,39 +454,54 @@ class TestDetectorTraining:
         normal, anom = separable_sets(seed=5)
         train, val, _ = assemble_detection_sets(normal, anom, seed=5)
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=5)
-        std = det.rows(val.values)
-        live = det.net.trainable()  # as training builds it
-        const = det.net.forward(std)[0]
+        values = val.values
+        live = det.trainable()  # as training builds it
+        const = det.forward(values)[0]
         assert not const.requires_grad
-        assert const.data.tobytes() == live.forward(std)[0].data.tobytes()
+        assert const.data.tobytes() == live.forward(values)[0].data.tobytes()
         # score runs the training graph on FORWARD_BLOCK-row blocks, the last
         # one zero-padded
-        assert len(std) > FORWARD_BLOCK and len(std) % FORWARD_BLOCK
+        assert len(values) > FORWARD_BLOCK and len(values) % FORWARD_BLOCK
         logits = []
-        for start in range(0, len(std), FORWARD_BLOCK):
-            rows = std[start:start + FORWARD_BLOCK]
-            block = np.zeros((FORWARD_BLOCK,) + std.shape[1:])
+        for start in range(0, len(values), FORWARD_BLOCK):
+            rows = values[start:start + FORWARD_BLOCK]
+            block = np.zeros((FORWARD_BLOCK,) + values.shape[1:])
             block[:len(rows)] = rows
             logits.append(live.forward(block)[0].data[:len(rows), 0])
         want = stable_sigmoid(np.concatenate(logits))
-        assert det.score(val.values).tobytes() == want.tobytes()
+        assert score(det, val).scores.tobytes() == want.tobytes()
 
     def test_dim_mismatch_rejected(self):
         normal, anom = separable_sets(seed=4)
         train, val, _ = assemble_detection_sets(normal, anom, seed=4)
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=5)
-        with pytest.raises(ValueError):
-            det.score(np.zeros((3, 7)))
+        with pytest.raises(ShapeError, match="normalize"):
+            score(det, make_features(np.zeros((3, 7)), 1, "adv"))
+        assert issubclass(ShapeError, ValueError)
 
     def test_net_is_a_dense_classifier_on_standardized_rows(self):
         normal, anom = separable_sets(seed=6)
         train, val, _ = assemble_detection_sets(normal, anom, seed=6)
         det = train_detector(train, val, hidden=8, seed=0, max_epochs=2)
         d = train.dim
-        assert det.net.arch.to_string() == f"in:{d}|dense:8:relu|dense:1:none|classes:1"
-        rows = det.rows(val.values)
+        assert isinstance(det, Classifier)
+        assert det.arch.to_string() == f"in:{d}|dense:8:relu|dense:1:none|classes:1"
+        taps = []
+        det.forward(val.values, taps=taps)
+        rows = taps[0].inputs  # what the first dense layer reads
         assert rows.shape == (len(val), d)
-        assert rows.tobytes() == ((val.values - det.mean) / det.std).tobytes()
+        assert rows.tobytes() == ((val.values - det.norm_mean) * (1.0 / det.norm_std)).tobytes()
+
+    def test_normalization_is_the_train_rows_standardization(self):
+        normal, anom = separable_sets(seed=7)
+        train, val, _ = assemble_detection_sets(normal, anom, seed=7)
+        train.values[:, 1] = 0.5  # a constant column takes the floor
+        for det in (build_detector(train.values, hidden=8, seed=0),
+                    train_detector(train, val, hidden=8, seed=0, max_epochs=2)):
+            assert det.norm_mean.tobytes() == train.values.mean(axis=0).tobytes()
+            want_std = np.maximum(train.values.std(axis=0), 1e-8)
+            assert det.norm_std.tobytes() == want_std.tobytes()
+            assert det.norm_std[1] == 1e-8
 
 
 class TestScoreFile:

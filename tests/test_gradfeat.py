@@ -5,7 +5,7 @@ import pytest
 
 from gradgate import storage
 from gradgate.attacks import fgsm
-from gradgate.autodiff import Tensor, backward
+from gradgate.autodiff import ShapeError, Tensor, backward
 from gradgate.data import gen_glyphs, gen_ood
 from gradgate.detector import build_detector, msp_scores, score
 from gradgate.gradfeat import (
@@ -116,20 +116,26 @@ class TestConfoundingLabel:
 class TestConfoundingLoss:
     def test_zero_logits_all_ones_is_ln2(self):
         for n in (2, 4, 10):
-            loss = bce_confounding_loss(Tensor(np.zeros(n)), make_confounding_label(n))
+            loss = bce_confounding_loss(Tensor(np.zeros((1, n))), make_confounding_label(n))
             assert float(loss.data) == math.log(2.0)
 
     def test_hand_arithmetic_two_classes(self):
-        loss = bce_confounding_loss(Tensor([math.log(3.0), 0.0]), make_confounding_label(2))
+        loss = bce_confounding_loss(Tensor([[math.log(3.0), 0.0]]), make_confounding_label(2))
         expected = -(math.log(0.75) + math.log(0.5)) / 2.0
         assert abs(float(loss.data) - expected) < 1e-15
         assert abs(float(loss.data) - 0.490415) < 1e-6
 
     def test_huge_logits_saturate_to_zero_without_nan(self):
-        loss = bce_confounding_loss(Tensor(np.full(5, 800.0)), make_confounding_label(5))
+        loss = bce_confounding_loss(Tensor(np.full((1, 5), 800.0)), make_confounding_label(5))
         assert float(loss.data) == 0.0
-        loss = bce_confounding_loss(Tensor(np.full(5, -800.0)), make_confounding_label(5))
+        loss = bce_confounding_loss(Tensor(np.full((1, 5), -800.0)), make_confounding_label(5))
         assert np.isfinite(loss.data)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (10,), (1, 1, 10)])
+    def test_logits_other_than_batch_by_classes_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"^bce_confounding_loss: incompatible shapes "
+                                             rf"\({', '.join(map(str, shape))},?\), \(10,\)"):
+            bce_confounding_loss(Tensor(np.zeros(shape)), make_confounding_label(10))
 
 
 class TestGradientFeatures:
@@ -302,9 +308,9 @@ class TestBatchInvariance:
         rng = np.random.default_rng(29)
         rows = rng.normal(values.mean(axis=0), values.std(axis=0),
                           size=(2 * FORWARD_BLOCK + 3, values.shape[1]))
-        want = det.score(rows)
+        want = score(det, unlabeled_features(rows, "")).scores
         for offset in range(0, len(rows) - size + 1, max(1, size // 2)):
-            got = det.score(rows[offset:offset + size])
+            got = score(det, unlabeled_features(rows[offset:offset + size], "")).scores
             for i in range(size):
                 assert got[i].tobytes() == want[offset + i].tobytes(), (offset, i)
 

@@ -252,6 +252,23 @@ class TestForward:
             with pytest.raises(ShapeError, match="normalize"):
                 rows.forward(bad)
 
+    def test_image_normalization_is_over_batch_and_pixels(self):
+        model = build_classifier(small_cnn(input_shape=(2, 16, 16)), seed=0)
+        images = np.random.default_rng(10).uniform(size=(5, 2, 16, 16))
+        images[:, 1] = 0.25  # a constant channel takes the floor
+        model.set_normalization(images)
+        assert model.norm_mean.tobytes() == images.mean(axis=(0, 2, 3)).tobytes()
+        want_std = np.maximum(images.std(axis=(0, 2, 3)), 1e-8)
+        assert model.norm_std.tobytes() == want_std.tobytes()
+        assert model.norm_std[1] == 1e-8
+
+    def test_row_normalization_is_over_the_batch(self):
+        model = build_classifier(mlp(num_classes=3, input_shape=(4,), hidden=4), seed=0)
+        x = np.random.default_rng(11).standard_normal((9, 4)) * [1.0, 1e3, 1e-3, 0.0]
+        model.set_normalization(x)
+        assert model.norm_mean.tobytes() == x.mean(axis=0).tobytes()
+        assert model.norm_std.tobytes() == np.maximum(x.std(axis=0), 1e-8).tobytes()
+
 
 class TestTraining:
     def test_separable_set_reaches_perfect_val_accuracy(self):

@@ -9,9 +9,11 @@
 # each run deletes that tree's scores-*.gscore files and times
 # run-experiment, which then refits the 18 detectors, reruns the MSP forwards
 # and reads every other artifact from cache. BLAS runs on one thread. It prints each time and each
-# tree's median, then diffs the two output trees with diff -r and exits
-# nonzero if any file differs. CI does not run it: shared runners are too
-# noisy to time on.
+# tree's median, then compares the two output trees as tests/diff_against_base.sh
+# does, against tests/expected_byte_moves.txt, with the outputs under default/:
+# it exits nonzero if a file differs that the list does not declare, or if a
+# glob of the list matches no file that differs here. CI does not run it:
+# shared runners are too noisy to time on.
 set -euo pipefail
 
 base=$1
@@ -22,7 +24,7 @@ trap 'git -C "$head" worktree remove --force "$work/tree"; rm -rf "$work"' EXIT
 git worktree add --quiet --detach "$work/tree" "$base"
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
-python3 - "$rounds" "$work/tree" "$work/base" "$head" "$work/head" <<'EOF'
+python3 - "$rounds" "$work/tree" "$work/base/default" "$head" "$work/head/default" <<'EOF'
 import glob
 import os
 import statistics
@@ -59,5 +61,6 @@ faster = sum(h < b for b, h in zip(times["base"], times["head"]))
 print(f"head faster in {faster} of {rounds} rounds")
 EOF
 
-diff -r "$work/base" "$work/head"
-echo "every artifact is byte-identical to $base's"
+bash "$head/tests/diff_against_base.sh" --compare "$head/tests/expected_byte_moves.txt" \
+  "$work/base" "$work/head"
+echo "every other artifact is byte-identical to $base's"
