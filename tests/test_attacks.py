@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gradgate.attacks as attacks_module
 from gradgate.attacks import (
     ATTACK_KINDS,
     AttackConfig,
@@ -12,9 +13,9 @@ from gradgate.attacks import (
     run_attack,
     semantic,
 )
-from gradgate.autodiff import Tensor
+from gradgate.autodiff import Tensor, cw_hinge, tsum
 from gradgate.data import gen_glyphs
-from gradgate.nn import FORWARD_BLOCK, build_classifier, mlp, small_cnn
+from gradgate.nn import FORWARD_BLOCK, build_classifier, map_blocks, mlp, small_cnn
 
 
 class ScalarLogistic:
@@ -182,11 +183,91 @@ class TestCw:
         with pytest.raises(ValueError):
             cw_l2(tiny_model, x, y, c=0.0, iterations=5, lr=0.05)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_bad_iterations_rejected(self, tiny_model, batch, iterations):
+        x, y = batch
+        with pytest.raises(ValueError, match="iterations"):
+            cw_l2(tiny_model, x, y, c=1.0, iterations=iterations, lr=0.05)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.05])
+    def test_bad_learning_rate_rejected(self, tiny_model, batch, lr):
+        x, y = batch
+        with pytest.raises(ValueError, match="lr"):
+            cw_l2(tiny_model, x, y, c=1.0, iterations=5, lr=lr)
+
     def test_deterministic(self, tiny_model, batch):
         x, y = batch
         a = cw_l2(tiny_model, x, y, c=1.0, iterations=8, lr=0.05)
         b = cw_l2(tiny_model, x, y, c=1.0, iterations=8, lr=0.05)
         assert a.images.tobytes() == b.images.tobytes()
+
+
+class TestCwActiveRows:
+    """cw backpropagates only the real rows whose hinge is positive, in
+    ``CW_GRAD_BLOCK``-row passes; the other rows' model gradients are
+    exactly zero, so skipping them changes nothing."""
+
+    C = 1.5
+
+    def hinge_grad(self, model, x, y):
+        loss = lambda logits: tsum(cw_hinge(logits, y)) * self.C
+        return attacks_module._input_grad(model, x, loss)
+
+    @pytest.fixture(scope="class")
+    def half_wrong(self, tiny_model):
+        x = gen_glyphs(FORWARD_BLOCK, seed=17).images
+        y = tiny_model.predict(x)
+        y[1::2] = (y[1::2] + 1) % tiny_model.num_classes
+        active = cw_hinge(Tensor(tiny_model.logits(x)), y).data > 0.0
+        assert 0 < active.sum() < len(y)
+        return x, y, active
+
+    def test_inactive_rows_have_zero_gradient(self, tiny_model, half_wrong):
+        x, y, active = half_wrong
+        full = self.hinge_grad(tiny_model, x, y)
+        assert not full[~active].any()
+        assert all(full[i].any() for i in np.flatnonzero(active))
+
+    def test_small_block_gradients_match_the_full_block(self, tiny_model, half_wrong):
+        x, y, active = half_wrong
+        full = self.hinge_grad(tiny_model, x, y)
+        small = map_blocks(lambda xb, yb: self.hinge_grad(tiny_model, xb, yb),
+                           attacks_module.CW_GRAD_BLOCK, x[active], y[active])
+        np.testing.assert_allclose(small, full[active], rtol=1e-12,
+                                   atol=1e-12 * np.abs(full).max())
+
+    def spy_input_grad(self, monkeypatch):
+        calls = []
+        real = attacks_module._input_grad
+
+        def spy(model, x, loss):
+            calls.append(x.copy())
+            return real(model, x, loss)
+
+        monkeypatch.setattr(attacks_module, "_input_grad", spy)
+        return calls
+
+    def test_padding_rows_are_never_differentiated(self, monkeypatch):
+        # logits (2 sum(x), 0): every image above zero, the 64-row block's
+        # padding rows included, predicts its padding label 0 with a positive hinge
+        model = ScalarLogistic()
+        x = gen_glyphs(1, seed=5).images
+        calls = self.spy_input_grad(monkeypatch)
+        cw_l2(model, x, np.zeros(1, int), c=1.0, iterations=6, lr=0.05)
+        assert 1 <= len(calls) <= 6
+        for xb in calls:
+            assert len(xb) == attacks_module.CW_GRAD_BLOCK
+            # one real row; the rest are this pass's exact-zero padding, while
+            # a padding row of the 64-row block would sit near 1e-6
+            assert xb[0].any() and not xb[1:].any()
+
+    def test_no_backward_when_every_label_is_wrong(self, tiny_model, batch, monkeypatch):
+        x, _ = batch
+        wrong = (tiny_model.predict(x) + 1) % tiny_model.num_classes
+        calls = self.spy_input_grad(monkeypatch)
+        res = cw_l2(tiny_model, x, wrong, c=1.0, iterations=6, lr=0.05)
+        assert calls == []
+        assert np.all(res.success)
 
 
 class TestSemantic:
@@ -233,7 +314,6 @@ class TestConstantParameters:
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_backward_maps_hold_no_parameter(self, tiny_model, batch, kind, monkeypatch):
-        import gradgate.attacks as attacks_module
         from gradgate.autodiff import backward
 
         seen = []
