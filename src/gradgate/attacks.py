@@ -34,32 +34,6 @@ CW_GRAD_BLOCK = 8
 
 
 @dataclass
-class AttackConfig:
-    kind: str
-    epsilon: float = 0.1
-    alpha: float = 0.01
-    iterations: int = 10
-    cw_c: float = 1.0
-    cw_iterations: int = 200
-    cw_lr: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.iterations < 1 or self.cw_iterations < 1:
-            raise ValueError("iterations and cw_iterations must be >= 1")
-        if self.cw_c <= 0:
-            raise ValueError("cw_c must be positive")
-        if self.cw_lr <= 0:
-            raise ValueError("cw_lr must be positive")
-
-
-@dataclass
 class AttackResult:
     kind: str
     images: np.ndarray
@@ -232,15 +206,20 @@ def semantic(model, x: np.ndarray, y: np.ndarray) -> AttackResult:
     return _finish("semantic", model, x, y, adv)
 
 
-def run_attack(model, x, y, cfg: AttackConfig) -> AttackResult:
-    if cfg.kind == "fgsm":
-        return fgsm(model, x, y, cfg.epsilon)
-    if cfg.kind == "bim":
-        return bim(model, x, y, cfg.epsilon, cfg.alpha, cfg.iterations)
-    if cfg.kind == "pgd":
-        return pgd(model, x, y, cfg.epsilon, cfg.alpha, cfg.iterations, cfg.seed)
-    if cfg.kind == "iterll":
-        return iterll(model, x, cfg.epsilon, cfg.alpha, cfg.iterations)
-    if cfg.kind == "cw":
-        return cw_l2(model, x, y, cfg.cw_c, cfg.cw_iterations, cfg.cw_lr)
-    return semantic(model, x, y)
+def run_attack(model, x, y, kind, *, epsilon, alpha, iterations, cw_c, cw_iterations,
+               cw_lr, seed) -> AttackResult:
+    """Run the attack ``kind`` of :data:`ATTACK_KINDS`, which reads only the
+    settings it uses; an unknown kind raises ValueError."""
+    if kind == "fgsm":
+        return fgsm(model, x, y, epsilon)
+    if kind == "bim":
+        return bim(model, x, y, epsilon, alpha, iterations)
+    if kind == "pgd":
+        return pgd(model, x, y, epsilon, alpha, iterations, seed)
+    if kind == "iterll":
+        return iterll(model, x, epsilon, alpha, iterations)
+    if kind == "cw":
+        return cw_l2(model, x, y, cw_c, cw_iterations, cw_lr)
+    if kind == "semantic":
+        return semantic(model, x, y)
+    raise ValueError(f"unknown attack kind {kind!r}")

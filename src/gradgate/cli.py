@@ -53,7 +53,10 @@ def _train(run, split):
     val parts are dropped, since nothing else reads them."""
     cfg = run.cfg
     model = nn.build_classifier(cfg.arch_spec(), seed=child_seed(cfg.master_seed, "init"))
-    model, history = nn.train_classifier(model, split[0], split[1], cfg.train_config())
+    model, history = nn.train_classifier(
+        model, split[0], split[1], epochs=cfg.epochs, batch_size=cfg.batch_size,
+        learning_rate=cfg.learning_rate, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+        seed=child_seed(cfg.master_seed, "train"))
     split[:2] = None, None
     with storage.atomic_open(run.path("history", "txt")) as fh:
         for h in history:
@@ -73,18 +76,21 @@ def _make_set(run, tag: str, *inputs):
     test = inputs[-1][2]
     if origin == "clean":
         return data.Dataset(test.images, test.labels, tag, test.seed)
-    acfg = cfg.attack_config(kind)
-    result = attacks.run_attack(inputs[0], test.images, test.labels, acfg)
-    _gate_attack(kind, result, acfg)
-    return data.Dataset(result.images, test.labels, tag, acfg.seed)
+    seed = child_seed(cfg.master_seed, f"attack:{kind}")
+    result = attacks.run_attack(
+        inputs[0], test.images, test.labels, kind, epsilon=cfg.epsilon, alpha=cfg.alpha,
+        iterations=cfg.iterations, cw_c=cfg.cw_c, cw_iterations=cfg.cw_iterations,
+        cw_lr=cfg.cw_lr, seed=seed)
+    _gate_attack(kind, result, cfg.epsilon)
+    return data.Dataset(result.images, test.labels, tag, seed)
 
 
-def _gate_attack(kind: str, result: attacks.AttackResult, acfg) -> None:
+def _gate_attack(kind: str, result: attacks.AttackResult, epsilon: float) -> None:
     if result.images.min() < 0.0 or result.images.max() > 1.0:
         raise PipelineError(f"{kind}: adversarial pixels escaped [0, 1]")
-    if kind in ("fgsm", "bim", "pgd", "iterll") and result.linf.max() > acfg.epsilon:
+    if kind in ("fgsm", "bim", "pgd", "iterll") and result.linf.max() > epsilon:
         raise PipelineError(f"{kind}: perturbation {result.linf.max()} exceeds "
-                            f"epsilon {acfg.epsilon}")
+                            f"epsilon {epsilon}")
     if not np.all(np.isfinite(result.images)):
         raise PipelineError(f"{kind}: non-finite adversarial pixels")
 

@@ -15,10 +15,10 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .attacks import ATTACK_KINDS, AttackConfig
+from .attacks import ATTACK_KINDS
 from .data import GLYPH_SIZE, OOD_KINDS, DataError, idx_image_header
 from .gradfeat import ConfoundingLabel, make_confounding_label
-from .nn import ArchSpec, TrainConfig, mlp, small_cnn
+from .nn import ArchSpec, mlp, small_cnn
 
 
 def child_seed(master_seed: int, role: str) -> int:
@@ -97,30 +97,29 @@ class ExperimentConfig:
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.idx_images and self.idx_labels):
             raise ValueError("idx dataset needs idx_images and idx_labels paths")
-        for key in ("train_fraction", "val_fraction", "detector_learning_rate"):
+        for key in ("train_fraction", "val_fraction", "learning_rate", "alpha", "cw_c", "cw_lr",
+                    "detector_learning_rate"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if not self.train_fraction + self.val_fraction < 1:
             raise ValueError("train and val fractions must leave room for a test split")
-        for kind in self.ood_kinds:
-            if kind not in OOD_KINDS:
-                raise ValueError(f"unknown OOD kind {kind!r}")
-        for key in ("attack_kinds", "ood_kinds"):
+        for key, known in (("attack_kinds", ATTACK_KINDS), ("ood_kinds", OOD_KINDS)):
             kinds = getattr(self, key)
+            for kind in kinds:
+                if kind not in known:
+                    raise ValueError(f"{key} lists an unknown kind {kind!r}")
             if len(set(kinds)) != len(kinds):
                 raise ValueError(f"{key} lists a kind twice: {','.join(kinds)}")
         for key, low in _MINIMUMS.items():
             value = getattr(self, key)
             if not value >= low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
+        if not self.momentum < 1:
+            raise ValueError(f"momentum must be < 1, got {self.momentum}")
         if 0 < self.attack_count < 3:  # it also sizes the clean set, which must fill the split
             raise ValueError(f"attack_count must be 0 or >= 3, got {self.attack_count}")
-        # each stage's own config checks its keys: these raise on a bad
-        # training or attack value, a malformed arch string, an unknown
-        # attack or label kind, or a k-hot k outside [2, num_classes]
-        self.train_config()
-        for kind in self.attack_kinds:
-            self.attack_config(kind)
+        # these raise on a malformed arch string, an unknown label kind, or a
+        # k-hot k outside [2, num_classes]
         arch = self.arch_spec()
         self.confounding_label(arch.num_classes)
         image, source = (1, GLYPH_SIZE, GLYPH_SIZE), "one glyph"
@@ -142,18 +141,6 @@ class ExperimentConfig:
         if self.arch == "mlp":
             return mlp()
         return ArchSpec.from_string(self.arch)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           learning_rate=self.learning_rate, momentum=self.momentum,
-                           weight_decay=self.weight_decay,
-                           seed=child_seed(self.master_seed, "train"))
-
-    def attack_config(self, kind: str) -> AttackConfig:
-        return AttackConfig(kind=kind, epsilon=self.epsilon, alpha=self.alpha,
-                            iterations=self.iterations, cw_c=self.cw_c,
-                            cw_iterations=self.cw_iterations, cw_lr=self.cw_lr,
-                            seed=child_seed(self.master_seed, f"attack:{kind}"))
 
     def confounding_label(self, num_classes: int) -> ConfoundingLabel:
         """The confounding label every command of a run scores with."""
@@ -212,9 +199,17 @@ class ExperimentConfig:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:12]
 
 
-# Lowest valid value of each integer key no stage config checks.
+# Lowest valid value of each numeric key with a floor; validate() checks the
+# keys that must be > 0 and the other bounds.
 _MINIMUMS = {
     "dataset_count": 1,
+    "epochs": 0,
+    "batch_size": 1,
+    "momentum": 0.0,
+    "weight_decay": 0.0,
+    "epsilon": 0.0,
+    "iterations": 1,
+    "cw_iterations": 1,
     "ood_count": 3,          # fills every part of the 40/40/20 detection split
     "attack_count": 0,       # 0 = whole test split; see validate()
     "hidden": 1,

@@ -44,7 +44,6 @@ class ConfoundingLabel:
     """A {0,1} target vector that matches no one-hot training label."""
 
     vector: np.ndarray
-    descriptor: str
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.float64)
@@ -66,16 +65,16 @@ def make_confounding_label(num_classes: int, kind: str = "all-ones",
     if num_classes < 2:
         raise ValueError("need at least two classes")
     if kind == "all-ones":
-        return ConfoundingLabel(np.ones(num_classes), "all-ones")
+        return ConfoundingLabel(np.ones(num_classes))
     if kind == "all-zeros":
-        return ConfoundingLabel(np.zeros(num_classes), "all-zeros")
+        return ConfoundingLabel(np.zeros(num_classes))
     if kind == "k-hot":
         if k is None or not (2 <= k <= num_classes):
             raise ValueError("k-hot requires 2 <= k <= num_classes")
         rng = np.random.default_rng(seed)
         vec = np.zeros(num_classes)
         vec[rng.choice(num_classes, size=k, replace=False)] = 1.0
-        return ConfoundingLabel(vec, f"k-hot-{k}-seed{seed}")
+        return ConfoundingLabel(vec)
     raise ValueError(f"unknown confounding label kind {kind!r}")
 
 

@@ -180,22 +180,6 @@ class ParamSet:
     tensor: Tensor
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 64
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs must be >= 0, batch_size and learning_rate positive")
-        if not (0.0 <= self.momentum < 1.0) or self.weight_decay < 0:
-            raise ValueError("momentum in [0,1), weight_decay >= 0")
-
-
 @dataclass(frozen=True)
 class LayerTap:
     """What one layer's per-example parameter gradients are built from."""
@@ -375,7 +359,8 @@ def sgd_epochs(params: list, batch_loss, n: int, batch_size: int, seed, epochs: 
         yield losses
 
 
-def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
+def train_classifier(model: Classifier, train_set, val_set, *, epochs: int, batch_size: int,
+                     learning_rate: float, momentum: float, weight_decay: float, seed):
     """Minibatch SGD with momentum on softmax cross-entropy.
 
     Returns (model, history) where history has one entry per epoch with
@@ -383,7 +368,7 @@ def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
     untouched and the history is empty.
     """
     history: list = []
-    if cfg.epochs == 0:
+    if epochs == 0:
         return model, history
     model.set_normalization(train_set.images)
     live = model.trainable()
@@ -392,10 +377,10 @@ def train_classifier(model: Classifier, train_set, val_set, cfg: TrainConfig):
         return softmax_cross_entropy(live.forward(train_set.images[idx])[0],
                                      train_set.labels[idx])
 
-    epochs = sgd_epochs([ps.tensor for ps in live.params], batch_loss, len(train_set.labels),
-                        cfg.batch_size, cfg.seed, cfg.epochs, lr=cfg.learning_rate,
-                        momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    for epoch, losses in enumerate(epochs):
+    losses_per_epoch = sgd_epochs([ps.tensor for ps in live.params], batch_loss,
+                                  len(train_set.labels), batch_size, seed, epochs,
+                                  lr=learning_rate, momentum=momentum, weight_decay=weight_decay)
+    for epoch, losses in enumerate(losses_per_epoch):
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),

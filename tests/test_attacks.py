@@ -4,7 +4,6 @@ import pytest
 import gradgate.attacks as attacks_module
 from gradgate.attacks import (
     ATTACK_KINDS,
-    AttackConfig,
     bim,
     cw_l2,
     fgsm,
@@ -282,27 +281,17 @@ class TestSemantic:
         assert np.array_equal(semantic(tiny_model, x, np.zeros(2, dtype=int)).images, x)
 
 
-class TestConfigAndDispatch:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            AttackConfig(kind="ddos")
+class TestDispatch:
+    CFG = dict(epsilon=0.05, alpha=0.01, iterations=10, cw_c=1.0, cw_iterations=200,
+               cw_lr=0.1, seed=0)
 
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            AttackConfig(kind="fgsm", epsilon=-0.1)
-        with pytest.raises(ValueError):
-            AttackConfig(kind="bim", alpha=0.0)
-        with pytest.raises(ValueError):
-            AttackConfig(kind="cw", cw_c=0.0)
-        with pytest.raises(ValueError):
-            AttackConfig(kind="cw", cw_lr=0.0)
-        with pytest.raises(ValueError):
-            AttackConfig(kind="fgsm", alpha=0.0)
+    def test_unknown_kind_rejected(self, tiny_model, batch):
+        with pytest.raises(ValueError, match="unknown attack kind 'ddos'"):
+            run_attack(tiny_model, *batch, "ddos", **self.CFG)
 
     def test_dispatch_matches_direct_call(self, tiny_model, batch):
         x, y = batch
-        cfg = AttackConfig(kind="fgsm", epsilon=0.05)
-        assert run_attack(tiny_model, x, y, cfg).images.tobytes() == \
+        assert run_attack(tiny_model, x, y, "fgsm", **self.CFG).images.tobytes() == \
             fgsm(tiny_model, x, y, 0.05).images.tobytes()
 
 
@@ -310,7 +299,8 @@ class TestConstantParameters:
     """A plain classifier's parameters are constants, so an attack's graphs
     carry only the input gradient."""
 
-    CFG = dict(epsilon=0.05, alpha=0.02, iterations=3, cw_iterations=6, seed=9)
+    CFG = dict(epsilon=0.05, alpha=0.02, iterations=3, cw_c=1.0, cw_iterations=6, cw_lr=0.1,
+               seed=9)
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_backward_maps_hold_no_parameter(self, tiny_model, batch, kind, monkeypatch):
@@ -324,7 +314,7 @@ class TestConstantParameters:
             return grads
 
         monkeypatch.setattr(attacks_module, "backward", spy)
-        run_attack(tiny_model, *batch, AttackConfig(kind=kind, **self.CFG))
+        run_attack(tiny_model, *batch, kind, **self.CFG)
         assert bool(seen) == (kind != "semantic")  # pixel negation takes no gradient
         for grads in seen:
             assert not any(ps.tensor in grads for ps in tiny_model.params)
@@ -332,9 +322,8 @@ class TestConstantParameters:
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_trainable_view_gives_byte_identical_results(self, tiny_model, batch, kind):
         x, y = batch
-        cfg = AttackConfig(kind=kind, **self.CFG)
-        const = run_attack(tiny_model, x, y, cfg)
-        live = run_attack(tiny_model.trainable(), x, y, cfg)
+        const = run_attack(tiny_model, x, y, kind, **self.CFG)
+        live = run_attack(tiny_model.trainable(), x, y, kind, **self.CFG)
         for field in ("images", "success", "linf", "l2"):
             assert getattr(live, field).tobytes() == getattr(const, field).tobytes(), field
 
@@ -345,7 +334,8 @@ class TestBatchInvariance:
     it: alone, in a set whose last block has one row, or in a set whose last
     block has ``FORWARD_BLOCK - 1`` rows."""
 
-    CFG = dict(epsilon=0.1, alpha=0.02, iterations=4, cw_iterations=20, seed=4)
+    CFG = dict(epsilon=0.1, alpha=0.02, iterations=4, cw_c=1.0, cw_iterations=20, cw_lr=0.1,
+               seed=4)
 
     @pytest.fixture(scope="class")
     def images(self):
@@ -355,9 +345,9 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_row_bytes_do_not_depend_on_the_set(self, tiny_model, images, kind):
         x, y = images
-        cfg = AttackConfig(kind=kind, **self.CFG)
-        whole = run_attack(tiny_model, x, y, cfg)  # last block FORWARD_BLOCK - 1 rows
-        tail1 = run_attack(tiny_model, x[:FORWARD_BLOCK + 1], y[:FORWARD_BLOCK + 1], cfg)
+        whole = run_attack(tiny_model, x, y, kind, **self.CFG)  # last block FORWARD_BLOCK - 1 rows
+        tail1 = run_attack(tiny_model, x[:FORWARD_BLOCK + 1], y[:FORWARD_BLOCK + 1], kind,
+                           **self.CFG)
         for i in (0, 1, FORWARD_BLOCK - 1, FORWARD_BLOCK):
             assert tail1.images[i].tobytes() == whole.images[i].tobytes(), i
             assert tail1.success[i] == whole.success[i], i
@@ -365,6 +355,6 @@ class TestBatchInvariance:
         # attacked alone has the start of row 0
         alone_rows = (0,) if kind == "pgd" else (0, FORWARD_BLOCK, len(x) - 1)
         for i in alone_rows:
-            alone = run_attack(tiny_model, x[i:i + 1], y[i:i + 1], cfg)
+            alone = run_attack(tiny_model, x[i:i + 1], y[i:i + 1], kind, **self.CFG)
             assert alone.images[0].tobytes() == whole.images[i].tobytes(), i
             assert alone.success[0] == whole.success[i], i

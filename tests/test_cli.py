@@ -1,15 +1,17 @@
 import os
+import re
 import struct
 import subprocess
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradgate import cli, detector, nn, storage
-from gradgate.attacks import AttackConfig, AttackResult
+from gradgate.attacks import AttackResult
 from gradgate.config import ExperimentConfig, child_seed
 from gradgate import gradfeat
 from gradgate.data import gen_glyphs, load_dataset, save_dataset
@@ -93,11 +95,22 @@ class TestConfig:
         ("train_fraction", -0.1), ("train_fraction", 0.0), ("val_fraction", 0.0),
         ("val_fraction", -0.1),
         ("learning_rate", 0.0), ("momentum", 1.0), ("detector_batch_size", 0),
-        ("detector_learning_rate", 0.0), ("detector_learning_rate", float("inf"))])
+        ("detector_learning_rate", 0.0), ("detector_learning_rate", float("inf")),
+        ("batch_size", 0), ("weight_decay", -1e-4), ("momentum", -0.1),
+        ("attack_kinds", ("ddos",))])
     def test_out_of_range_value_rejected(self, tiny_config, key, value):
         path, _ = tiny_config
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=key) as raised:
             ExperimentConfig.from_file(path, overrides={key: value})
+        named = [f.name for f in fields(ExperimentConfig)
+                 if f.name != key and re.search(rf"\b{f.name}\b", str(raised.value))]
+        assert named == [], str(raised.value)
+
+    @pytest.mark.parametrize("key,value", [("epsilon", -1.0), ("cw_lr", 0.0)])
+    def test_attack_keys_checked_with_no_attack_listed(self, tiny_config, key, value):
+        path, _ = tiny_config
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_file(path, overrides={"attack_kinds": (), key: value})
 
     @pytest.mark.parametrize("overrides", [
         {"confounding_kind": "bogus"},
@@ -112,7 +125,8 @@ class TestConfig:
         path, _ = tiny_config
         floors = {"dataset_count": 1, "ood_count": 3, "attack_count": 0, "epsilon": 0.0,
                   "hidden": 1, "detector_patience": 1, "detector_epochs": 1,
-                  "cw_iterations": 1, "iterations": 1, "detector_batch_size": 1}
+                  "cw_iterations": 1, "iterations": 1, "detector_batch_size": 1,
+                  "epochs": 0, "momentum": 0.0, "weight_decay": 0.0}
         cfg = ExperimentConfig.from_file(path, overrides=floors)
         assert all(getattr(cfg, key) == value for key, value in floors.items())
 
@@ -247,6 +261,15 @@ class TestTrainCommand:
         path.write_text("[dataset]\ndataset_kind = idx\n")
         assert cli.main(["train-classifier", "--config", str(path)]) == 1
 
+    def test_invalid_config_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\nout_dir = {out}\n\n[model]\nmomentum = 1.0\n")
+        assert cli.main(["run-experiment", "--config", str(path)]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ") and "momentum" in errors[0]
+        assert not out.exists()
+
 
 class TestGenAnomalies:
     def test_one_file_per_source(self, tiny_config):
@@ -292,13 +315,13 @@ class TestGenAnomalies:
         bad = AttackResult("fgsm", np.full((1, 1, 2, 2), 0.5),
                            np.array([True]), np.array([0.2]), np.array([0.4]))
         with pytest.raises(cli.PipelineError):
-            cli._gate_attack("fgsm", bad, AttackConfig(kind="fgsm", epsilon=0.1))
+            cli._gate_attack("fgsm", bad, 0.1)
 
     def test_range_gate_rejects_escapes(self):
         bad = AttackResult("semantic", np.full((1, 1, 2, 2), 1.5),
                            np.array([True]), np.array([0.5]), np.array([1.0]))
         with pytest.raises(cli.PipelineError):
-            cli._gate_attack("semantic", bad, AttackConfig(kind="semantic"))
+            cli._gate_attack("semantic", bad, 0.1)
 
 
 class TestExtractAndDetect:
@@ -668,8 +691,7 @@ class TestCompareNorms:
         assert len(labels) == 4  # one call per set of the run
         (out / f"features-gradient-adv-fgsm-{cfg.digest()}.gfeat").unlink()
         cli.run_experiment(cfg, out)
-        *compare, pipeline = labels
-        assert pipeline.descriptor.startswith("k-hot-3-")
-        for label in compare:
-            assert label.descriptor == pipeline.descriptor
-            assert np.array_equal(label.vector, pipeline.vector)
+        want = cfg.confounding_label(10).vector
+        assert want.sum() == 3
+        for label in labels:
+            assert np.array_equal(label.vector, want)
